@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -81,8 +82,11 @@ std::atomic<std::uint64_t> activeBatch{UINT64_MAX};
  * `beat` (wired into Cmp::setProgressCounter); the monitor thread sets
  * `abort` when the beat stalls past the timeout.  `epoch` increments at
  * every attempt start so a retry re-arms the monitor's stall timer.
+ * Each slot owns a 64-byte cache line: a plain run stores its beat on
+ * every reference, and two concurrent runs storing into one shared
+ * line would keep stealing it from each other.
  */
-struct HeartbeatSlot
+struct alignas(64) HeartbeatSlot
 {
     std::atomic<std::uint64_t> beat{0};
     std::atomic<std::uint64_t> epoch{0};
@@ -620,9 +624,13 @@ forEachRun(std::size_t n, const RunOptions &opt,
 
     // Forward-progress watchdog: one heartbeat slot per run, one
     // monitor thread flagging runs whose beat stalls past the timeout.
+    // The monitor waits on stopCv between polls, so the batch ends as
+    // soon as its last run does.
     const bool watch = opt.hangTimeout > 0.0;
     std::vector<HeartbeatSlot> slots(watch ? n : 0);
-    std::atomic<bool> stopWatch{false};
+    std::mutex stopMu;
+    std::condition_variable stopCv;
+    bool stopWatch = false;
     std::thread monitor;
     if (watch) {
         monitor = std::thread([&, n] {
@@ -636,8 +644,8 @@ forEachRun(std::size_t n, const RunOptions &opt,
             std::vector<Seen> seen(n);
             const auto poll = std::chrono::duration<double>(
                 std::clamp(opt.hangTimeout / 4.0, 0.001, 0.25));
-            while (!stopWatch.load(std::memory_order_relaxed)) {
-                std::this_thread::sleep_for(poll);
+            std::unique_lock<std::mutex> lock(stopMu);
+            while (!stopCv.wait_for(lock, poll, [&] { return stopWatch; })) {
                 const auto now = clock::now();
                 for (std::size_t i = 0; i < n; ++i) {
                     HeartbeatSlot &slot = slots[i];
@@ -755,6 +763,16 @@ forEachRun(std::size_t n, const RunOptions &opt,
         journal->append(rec);
     };
 
+    const auto endBatch = [&] {
+        {
+            std::lock_guard<std::mutex> lock(stopMu);
+            stopWatch = true;
+        }
+        stopCv.notify_one();
+        if (monitor.joinable())
+            monitor.join();
+        activeBatch.store(UINT64_MAX, std::memory_order_relaxed);
+    };
     const auto wall0 = clock::now();
     try {
         if (jobs <= 1 || n == 1) {
@@ -765,16 +783,10 @@ forEachRun(std::size_t n, const RunOptions &opt,
             pool.parallelFor(0, n, guarded);
         }
     } catch (...) {
-        stopWatch.store(true, std::memory_order_relaxed);
-        if (monitor.joinable())
-            monitor.join();
-        activeBatch.store(UINT64_MAX, std::memory_order_relaxed);
+        endBatch();
         throw;
     }
-    stopWatch.store(true, std::memory_order_relaxed);
-    if (monitor.joinable())
-        monitor.join();
-    activeBatch.store(UINT64_MAX, std::memory_order_relaxed);
+    endBatch();
     const double wall =
         std::chrono::duration<double>(clock::now() - wall0).count();
 
@@ -1264,6 +1276,8 @@ executeFanout(const std::vector<SystemConfig> &sys_cfgs, const Mix &mix,
     // Watchdog wiring: every member publishes into the run's shared
     // heartbeat (members advance in lockstep on one thread, so any
     // member's progress is the job's progress) and honors the abort.
+    // No state dump: a member's express state is lazy mid-slice, and
+    // the burst loop asserts that no dump is installed.
     if (const std::atomic<bool> *abort_flag = currentRunAbortFlag()) {
         for (std::size_t j = 0; j < n; ++j) {
             fan.member(j).setProgressCounter(currentRunHeartbeat());
@@ -1341,9 +1355,9 @@ namespace
 /**
  * In-process memo of finished RunResults keyed by (config, mix,
  * deterministic run options): benches re-running the same baseline for
- * several comparisons reuse the simulated results.  Keys are explicit
- * field enumerations — equal keys imply equal simulations, and a
- * spurious mismatch only costs a re-run, never a wrong reuse.
+ * several comparisons reuse the simulated results.  Keys are canonical
+ * request encodings (memoKey) — equal keys imply equal simulations,
+ * and a spurious mismatch only costs a re-run, never a wrong reuse.
  */
 struct RunMemo
 {
@@ -1370,76 +1384,22 @@ memoizable(const RunOptions &opt)
 }
 
 /**
- * The options that shape a run's numbers.  The job count is included
- * deliberately even though results are jobs-invariant: the determinism
- * tests re-run sweeps across job counts to PROVE that invariance, and a
- * memo hit would short-circuit exactly the property under test.
+ * Memo key of one (config, mix) cell: the canonical request encoding
+ * the result cache keys on (every SystemConfig field, the mix and the
+ * options that shape the numbers), plus the job count.  The job count
+ * is included deliberately even though results are jobs-invariant: the
+ * determinism tests re-run sweeps across job counts to PROVE that
+ * invariance, and a memo hit would short-circuit exactly the property
+ * under test.
  */
 std::string
-optMemoKey(const RunOptions &opt)
+memoKey(const SystemConfig &cfg, const Mix &mix, const RunOptions &opt)
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "seed=%llu;scale=%u;w=%llu;m=%llu;j=%u",
-                  static_cast<unsigned long long>(opt.seed), opt.scale,
-                  static_cast<unsigned long long>(opt.warmup),
-                  static_cast<unsigned long long>(opt.measure),
-                  effectiveJobs(opt));
-    return buf;
-}
-
-/** Every SystemConfig field, including the inactive SLLC sub-configs
- *  (spurious misses are safe; omissions are not). */
-std::string
-configMemoKey(const SystemConfig &c)
-{
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "cores=%u;priv=%llu,%u,%llu,%llu,%u,%llu;"
-        "pf=%d,%u,%u,%u,%u;xbar=%u,%llu,%llu,%u;"
-        "mem=%u,%u,%u,%llu,%llu,%llu,%llu,%llu;"
-        "kind=%u;conv=%llu,%u,%u,%u,%llu,%llu,%llu;"
-        "reuse=%llu,%u,%llu,%u,%u,%u,%u,%llu,%llu,%llu;"
-        "ncid=%llu,%u,%llu,%u,%llu,%llu,%llu,%.17g;"
-        "seed=%llu;cap=%u",
-        c.numCores, static_cast<unsigned long long>(c.priv.l1Bytes),
-        c.priv.l1Ways, static_cast<unsigned long long>(c.priv.l1Latency),
-        static_cast<unsigned long long>(c.priv.l2Bytes), c.priv.l2Ways,
-        static_cast<unsigned long long>(c.priv.l2Latency),
-        c.prefetch.enable ? 1 : 0, c.prefetch.degree,
-        c.prefetch.tableEntries, c.prefetch.regionShift,
-        c.prefetch.minConfidence, c.xbar.numBanks,
-        static_cast<unsigned long long>(c.xbar.linkLatency),
-        static_cast<unsigned long long>(c.xbar.bankOccupancy),
-        c.xbar.mshrPerBank, c.memory.numChannels, c.memory.dram.numBanks,
-        c.memory.dram.pageBytes,
-        static_cast<unsigned long long>(c.memory.dram.rowMissLatency),
-        static_cast<unsigned long long>(c.memory.dram.rowHitLatency),
-        static_cast<unsigned long long>(c.memory.dram.rowConflictExtra),
-        static_cast<unsigned long long>(c.memory.dram.busCyclesPerLine),
-        static_cast<unsigned long long>(c.memory.dram.bankOccupancy),
-        static_cast<unsigned>(c.llcKind),
-        static_cast<unsigned long long>(c.conv.capacityBytes), c.conv.ways,
-        static_cast<unsigned>(c.conv.repl), c.conv.numCores,
-        static_cast<unsigned long long>(c.conv.tagLatency),
-        static_cast<unsigned long long>(c.conv.dataLatency),
-        static_cast<unsigned long long>(c.conv.interventionLatency),
-        static_cast<unsigned long long>(c.reuse.tagEquivBytes),
-        c.reuse.tagWays, static_cast<unsigned long long>(c.reuse.dataBytes),
-        c.reuse.dataWays, static_cast<unsigned>(c.reuse.tagRepl),
-        static_cast<unsigned>(c.reuse.dataRepl), c.reuse.numCores,
-        static_cast<unsigned long long>(c.reuse.tagLatency),
-        static_cast<unsigned long long>(c.reuse.dataLatency),
-        static_cast<unsigned long long>(c.reuse.interventionLatency),
-        static_cast<unsigned long long>(c.ncid.tagEquivBytes),
-        c.ncid.tagWays, static_cast<unsigned long long>(c.ncid.dataBytes),
-        c.ncid.numCores,
-        static_cast<unsigned long long>(c.ncid.tagLatency),
-        static_cast<unsigned long long>(c.ncid.dataLatency),
-        static_cast<unsigned long long>(c.ncid.interventionLatency),
-        c.ncid.selectiveFillRate,
-        static_cast<unsigned long long>(c.seed), c.capacityScale);
-    return buf;
+    const std::vector<std::uint8_t> bytes = svc::canonicalBytes(
+        svc::RunRequest{cfg, mix, opt.seed, opt.scale, opt.warmup,
+                        opt.measure});
+    return std::string(bytes.begin(), bytes.end()) + "|j=" +
+           std::to_string(effectiveJobs(opt));
 }
 
 /** Summary statistics over the filled per-mix ratio vector. */
@@ -1492,17 +1452,12 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
         cfgs.size(), std::vector<char>(mixes.size(), 0));
     if (memo) {
         cellKeys.resize(cfgs.size() * mixes.size());
-        const std::string optKey = optMemoKey(opt);
-        std::vector<std::string> mixKeys(mixes.size());
-        for (std::size_t m = 0; m < mixes.size(); ++m)
-            mixKeys[m] = mixes[m].label();
         RunMemo &cache = runMemo();
         std::lock_guard<std::mutex> lock(cache.mu);
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            const std::string cfgKey = configMemoKey(cfgs[i]);
             for (std::size_t m = 0; m < mixes.size(); ++m) {
                 std::string &key = cellKeys[i * mixes.size() + m];
-                key = cfgKey + "|" + mixKeys[m] + "|" + optKey;
+                key = memoKey(cfgs[i], mixes[m], opt);
                 const auto it = cache.map.find(key);
                 if (it != cache.map.end()) {
                     results[i][m] = it->second;

@@ -21,7 +21,9 @@
  * paper's headline reuse-cache sweep (six sizing/policy variants that
  * share the private hierarchy) runs once as six independent Cmp runs
  * and once as one FanoutCmp, hard-asserting per-config LLC stats
- * digests match before reporting:
+ * digests match before reporting.  The FanoutCmp members carry a
+ * heartbeat and an abort flag, as the harness wires every fan-out job
+ * of a CLI sweep (watchdog armed), so the gate times that path:
  *   independent_sims_per_sec  six configs, one Cmp each
  *   fanout_sims_per_sec       six configs, one shared front end
  *   fanout_speedup            ratio of the two
@@ -43,6 +45,7 @@
  * file without fan-out fields gates the serial number only.
  */
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -265,6 +268,15 @@ main(int argc, char **argv)
     FanoutCmp fan(sweep, [&fanMix, &opt] {
         return buildMixStreams(fanMix, opt.seed, opt.scale);
     });
+    // Time the path CLI sweeps run: the harness arms its watchdog by
+    // default and wires the run's heartbeat and abort flag into every
+    // member of a fan-out job (executeFanout).
+    std::atomic<std::uint64_t> fanBeat{0};
+    std::atomic<bool> fanAbort{false};
+    for (std::size_t j = 0; j < fan.size(); ++j) {
+        fan.member(j).setProgressCounter(&fanBeat);
+        fan.member(j).setAbortFlag(&fanAbort);
+    }
     const std::uint64_t f0 = tracer.hostNowMicros();
     fan.run(opt.warmup);
     fan.beginMeasurement();

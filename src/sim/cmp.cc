@@ -13,6 +13,10 @@ namespace rc
 namespace
 {
 
+/** Longest burst between two watchdog polls of the burst loop, so a
+ *  core whose time stops advancing still sees the abort. */
+constexpr std::uint32_t kBurstCap = 4096;
+
 std::unique_ptr<Sllc>
 makeLlc(const SystemConfig &cfg, MemCtrl &mem)
 {
@@ -458,103 +462,135 @@ Cmp::run(Cycle cycles)
 void
 Cmp::runSlice(Cycle end, bool commit)
 {
-    if (cores.empty()) {
-        if (commit)
-            horizon = end;
-        return;
+    if (!cores.empty()) {
+        // Flat mirror of each core's ready time: the min-scan walks one
+        // contiguous array instead of chasing a unique_ptr per core.
+        // Rebuilt on entry (restore() may have moved the cores) and
+        // maintained after every step; stepCore only ever changes the
+        // stepped core's ready time.
+        readyCache.resize(cores.size());
+        if (feed && checkEvery == 0 && snapEvery == 0 && sampleEvery == 0)
+            runBursts(end, commit);
+        else
+            runSteps(end);
     }
+    if (commit)
+        horizon = end;
+}
 
-    // Flat mirror of each core's ready time: the per-reference min-scan
-    // walks one contiguous array instead of chasing a unique_ptr per
-    // core.  Rebuilt on entry (restore() may have moved the cores) and
-    // maintained after every step; stepCore only ever changes the
-    // stepped core's ready time.
+void
+Cmp::pollWatchdog()
+{
+    if (progressPtr)
+        progressPtr->store(refsProcessed, std::memory_order_relaxed);
+    if (abortPtr && abortPtr->load(std::memory_order_relaxed))
+        abortRun();
+}
+
+void
+Cmp::abortRun()
+{
+    if (onAbort)
+        onAbort(*this);
+    throwSimError(SimError::Kind::Hang,
+                  "watchdog abort: run made no forward progress "
+                  "(aborted after %llu references)",
+                  static_cast<unsigned long long>(refsProcessed));
+}
+
+/**
+ * The fan-out loop: identical scheduling to runSteps() (first core
+ * carrying the strictly smallest ready time wins), but the winning core
+ * is stepped in a burst for as long as the scan would keep picking it
+ * — its ready time stays strictly below every other core's, or ties
+ * one with a higher index — so the min-scan amortizes over the burst
+ * and the core's private state stays hot.  A never-diverged core rides
+ * the express lane instead: it is scheduled by the pre-step ready time
+ * of its next LLC-bound record and jumps over everything in between
+ * (the skipped records have no effect outside the core's own private
+ * state, which nothing can observe before the commit at the end of
+ * this run() call).  The watchdog is polled once per scheduling
+ * decision and once at the end of the slice.
+ */
+void
+Cmp::runBursts(Cycle end, bool commit)
+{
+    // An abort mid-slice leaves express state lazy; a dump of it would
+    // be wrong, and executeFanout never installs one.
+    RC_ASSERT(!onAbort, "fan-out members take no abort dump");
     const std::uint32_t n = static_cast<std::uint32_t>(cores.size());
-    readyCache.resize(n);
-
-    // Hook-free fast path: identical scheduling (first core carrying
-    // the strictly smallest ready time wins), none of the per-reference
-    // hook/abort/progress checks.  The winning core is stepped in a
-    // burst for as long as the scan would keep picking it — its ready
-    // time stays strictly below every other core's, or ties one with a
-    // higher index — so the per-reference min-scan amortizes over the
-    // burst and the core's stream/private state stays hot.
-    if (sampleEvery == 0 && checkEvery == 0 && snapEvery == 0 &&
-        !abortPtr && !progressPtr) {
-        // Arm express replay: a never-diverged fan-out core is
-        // scheduled by the pre-step ready time of its next LLC-bound
-        // record and jumps over everything in between (the skipped
-        // records have no effect outside the core's own private state,
-        // which nothing can observe before the commit at the end of
-        // this run() call).
-        const bool express_on = feed && expressEligible;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (express_on && !diverged[i].any) {
-                express[i].active = true;
-                refreshExpressEvent(i, end);
-            } else {
-                if (feed)
-                    express[i].active = false;
-                readyCache[i] = cores[i]->readyAt();
-            }
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (expressEligible && !diverged[i].any) {
+            express[i].active = true;
+            refreshExpressEvent(i, end);
+        } else {
+            express[i].active = false;
+            readyCache[i] = cores[i]->readyAt();
         }
-        const Cycle *rc_begin = readyCache.data();
-        for (;;) {
-            // One pass finds the winner AND the runner-up (first index
-            // carrying the smallest ready time among the other cores):
-            // the winner keeps winning the scan while its ready time
-            // stays below the runner-up's, or ties it from a lower
-            // index, so it can burst without rescanning.
-            std::uint32_t idx = 0;
-            Cycle best = rc_begin[0];
-            Cycle second = ~Cycle{0};
-            std::uint32_t second_idx = 0;
-            for (std::uint32_t i = 1; i < n; ++i) {
-                const Cycle v = rc_begin[i];
-                if (v < best) {
-                    second = best;
-                    second_idx = idx;
-                    best = v;
-                    idx = i;
-                } else if (v < second) {
-                    second = v;
-                    second_idx = i;
-                }
-            }
-            if (best >= end)
-                break;
-            if (express_on && express[idx].active) {
-                expressEvent(idx, end);
-                continue;
-            }
-            Core &burst = *cores[idx];
-            expressDemoted = false;
-            Cycle r;
-            // A recall out of this burst may deactivate an express core
-            // whose next step then lands before the cached runner-up
-            // time; expressDemoted forces a rescan when that happens.
-            do {
-                stepCore(burst);
-                ++refsProcessed;
-                r = burst.readyAt();
-            } while (r < end &&
-                     (r < second || (r == second && idx < second_idx)) &&
-                     !expressDemoted);
-            readyCache[idx] = r;
-        }
-        if (feed && commit) {
-            for (std::uint32_t i = 0; i < n; ++i)
-                finalizeExpress(i, end);
-        }
-        if (commit)
-            horizon = end;
-        return;
     }
+    const Cycle *rc_begin = readyCache.data();
+    for (;;) {
+        // One pass finds the winner AND the runner-up (first index
+        // carrying the smallest ready time among the other cores): the
+        // winner keeps winning the scan while its ready time stays
+        // below the runner-up's, or ties it from a lower index, so it
+        // can burst without rescanning.
+        std::uint32_t idx = 0;
+        Cycle best = rc_begin[0];
+        Cycle second = ~Cycle{0};
+        std::uint32_t second_idx = 0;
+        for (std::uint32_t i = 1; i < n; ++i) {
+            const Cycle v = rc_begin[i];
+            if (v < best) {
+                second = best;
+                second_idx = idx;
+                best = v;
+                idx = i;
+            } else if (v < second) {
+                second = v;
+                second_idx = i;
+            }
+        }
+        if (best >= end)
+            break;
+        pollWatchdog();
+        if (express[idx].active) {
+            expressEvent(idx, end);
+            continue;
+        }
+        Core &burst = *cores[idx];
+        expressDemoted = false;
+        std::uint32_t budget = kBurstCap;
+        Cycle r;
+        // A recall out of this burst may deactivate an express core
+        // whose next step then lands before the cached runner-up time;
+        // expressDemoted forces a rescan when that happens.  Ending a
+        // burst early only costs a rescan that picks the same core.
+        do {
+            stepCore(burst);
+            ++refsProcessed;
+            r = burst.readyAt();
+        } while (r < end &&
+                 (r < second || (r == second && idx < second_idx)) &&
+                 !expressDemoted && --budget != 0);
+        readyCache[idx] = r;
+    }
+    if (commit) {
+        for (std::uint32_t i = 0; i < n; ++i)
+            finalizeExpress(i, end);
+    }
+    pollWatchdog();
+}
 
+/** The per-reference loop: plain runs and hooked slices. */
+void
+Cmp::runSteps(Cycle end)
+{
+    const std::uint32_t n = static_cast<std::uint32_t>(cores.size());
     if (feed) {
-        // Hooked slices run the per-reference path; express laziness
-        // never spans a hook installation (hooks are installed between
-        // run() calls and the final slice of a run materializes).
+        // Hooked slices run here; express laziness never spans a hook
+        // installation (hooks are installed between run() calls and
+        // the final slice of a run materializes).
         for (std::uint32_t i = 0; i < n; ++i) {
             RC_ASSERT(!express[i].active ||
                           express[i].exactCursor == express[i].cursor,
@@ -576,14 +612,8 @@ Cmp::runSlice(Cycle end, bool commit)
         }
         if (best >= end)
             break;
-        if (abortPtr && abortPtr->load(std::memory_order_relaxed)) {
-            if (onAbort)
-                onAbort(*this);
-            throwSimError(SimError::Kind::Hang,
-                          "watchdog abort: run made no forward progress "
-                          "(aborted after %llu references)",
-                          static_cast<unsigned long long>(refsProcessed));
-        }
+        if (abortPtr && abortPtr->load(std::memory_order_relaxed))
+            abortRun();
         // Fire every epoch boundary at or before the reference about to
         // be processed, so samples observe the quiescent pre-reference
         // state of their epoch even when a long stall skips several
@@ -605,8 +635,15 @@ Cmp::runSlice(Cycle end, bool commit)
         if (snapEvery != 0 && refsProcessed % snapEvery == 0)
             snapHook(*this, next.readyAt());
     }
-    if (commit)
-        horizon = end;
+}
+
+std::uint32_t
+Cmp::expressCores() const
+{
+    std::uint32_t active = 0;
+    for (const ExpressCore &ex : express)
+        active += ex.active ? 1 : 0;
+    return active;
 }
 
 void

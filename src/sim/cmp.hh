@@ -65,6 +65,12 @@ class Cmp : public RecallHandler
      * interleaves its members in bounded quanta and commits only the
      * final slice of each run() call, so mid-run hooks observe the same
      * entry-horizon value they would in an unsliced run.
+     *
+     * The kind of run picks the loop.  A fan-out member without a
+     * check, snapshot or sample hook takes the burst + express loop;
+     * a plain Cmp, and any hooked slice, takes the per-reference loop.
+     * The watchdog (heartbeat and abort flag) is not a hook: both loops
+     * serve it, so arming it never changes the loop.
      */
     void runSlice(Cycle end, bool commit);
 
@@ -157,6 +163,13 @@ class Cmp : public RecallHandler
     std::uint64_t feedFallbacks() const { return feedFellBack; }
 
     /**
+     * Fan-out cores on the express lane right now (diagnostics).  Zero
+     * after run() returns; nonzero between FanoutCmp quanta or after a
+     * slice that threw with its lazy express state unmaterialized.
+     */
+    std::uint32_t expressCores() const;
+
+    /**
      * Install a periodic checkpoint hook, symmetric to setCheckHook():
      * runs with (system, current cycle) after every @p every_n_refs
      * completed references, always at a quiescent point.  Pass 0 to
@@ -183,15 +196,21 @@ class Cmp : public RecallHandler
 
     /**
      * Watchdog heartbeat: when set, the run loop stores the completed
-     * reference count into @p counter (relaxed) after every reference,
-     * so a monitor thread can observe forward progress.
+     * reference count into @p counter (relaxed) so a monitor thread can
+     * observe forward progress.  The per-reference loop stores after
+     * every reference; the burst loop once per scheduling decision
+     * (a burst of at most 4096 references, or one express jump) and
+     * once at the end of each slice.
      */
     void setProgressCounter(std::atomic<std::uint64_t> *counter);
 
     /**
      * Cooperative abort: when @p flag becomes true the run loop calls
      * @p on_abort (diagnostic state dump) and throws SimError(Hang),
-     * which the bench harness routes into its quarantine path.
+     * which the bench harness routes into its quarantine path.  Both
+     * loops poll the flag as often as they publish the heartbeat.
+     * Fan-out members must not pass @p on_abort: their private state
+     * is lazy mid-slice, so there is nothing consistent to dump.
      */
     void setAbortFlag(const std::atomic<bool> *flag,
                       std::function<void(const Cmp &)> on_abort = {});
@@ -227,6 +246,12 @@ class Cmp : public RecallHandler
     bool downgrade(Addr line_addr, std::uint32_t core_mask) override;
 
   private:
+    // The two run loops (see runSlice()).
+    void runBursts(Cycle end, bool commit);
+    void runSteps(Cycle end);
+    void pollWatchdog();
+    [[noreturn]] void abortRun();
+
     void stepCore(Core &core);
     void stepCoreFanout(Core &core);
     void issuePrefetches(Core &core, Addr demand_line, Cycle when);
@@ -236,7 +261,7 @@ class Cmp : public RecallHandler
     void feedMarkLine(CoreId c, Addr line);
     void feedMarkL1(CoreId c, Addr line);
 
-    // Express-lane fan-out replay (hook-free fast path only): jump a
+    // Express-lane fan-out replay (burst loop only): jump a
     // never-diverged core straight from one LLC-bound record to the
     // next using the feed's prefix sums, leaving its private state
     // stale in between and materializing it only when something must

@@ -665,8 +665,10 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
 
         // Placeholder header + padding, then the arrays (hashed as
         // written, padding included), then meta; the sealed header is
-        // patched in last.
-        static const std::uint8_t zeros[kArraysAlign] = {};
+        // patched in last.  One zero buffer serves the header
+        // placeholder and every (shorter than kArraysAlign) pad.
+        static const std::uint8_t
+            zeros[std::max(kHeaderBytes, kArraysAlign)] = {};
         fwriteAll(f, zeros, kHeaderBytes, tmp.c_str());
         fwriteAll(f, zeros, arraysOff - kHeaderBytes, tmp.c_str());
         FeedHasher hash;

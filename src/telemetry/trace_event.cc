@@ -32,8 +32,10 @@ thread_local RingCache ringCache;
 
 std::atomic<std::uint64_t> nextTracerSerial{1};
 
-/** Magic prefix of the binary spill scratch file. */
-constexpr char kSpillMagic[8] = {'R', 'C', 'T', 'R', 'A', 'C', 'E', '1'};
+/** Magic prefix of the binary spill scratch file.  Distinct from the
+ *  memory-trace header ("RCTRACE" + version), so a TraceReader never
+ *  mistakes a spill file for a trace. */
+constexpr char kSpillMagic[8] = {'R', 'C', 'S', 'P', 'I', 'L', 'L', '1'};
 
 /** Fixed-size spill record (little-endian host layout; same-process
  *  readback only, so no byte-order handling is needed). */

@@ -11,10 +11,18 @@
  * reference and cycle totals.  Conventional and NCID members recall
  * private lines, so these runs exercise the divergence-tracking
  * fallback path, not just pure replay.
+ *
+ * The watchdog is not a hook: a member wired to a heartbeat and an
+ * abort flag (as the harness wires every fan-out job) keeps the burst
+ * and express loop, ends bit-identical to an unwatched one, and still
+ * throws SimError(Hang) promptly when another thread raises the abort.
  */
 
+#include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,6 +77,36 @@ matrixConfigs()
         c.seed = kSeed;
     return cfgs;
 }
+
+/** A twelve-config sweep, the width of a CLI fan-out job. */
+std::vector<SystemConfig>
+twelveConfigs()
+{
+    std::vector<SystemConfig> cfgs = matrixConfigs();
+    cfgs.push_back(conventionalSystem(4.0, ReplKind::SRRIP, kScale));
+    cfgs.push_back(conventionalSystem(16.0, ReplKind::LRU, kScale));
+    for (double data_mb : {8.0, 4.0, 2.0, 0.5})
+        cfgs.push_back(reuseSystem(8.0, data_mb, 16, kScale));
+    cfgs.push_back(ncidSystem(4.0, 0.5, kScale));
+    for (SystemConfig &c : cfgs)
+        c.seed = kSeed;
+    return cfgs;
+}
+
+/** The watchdog wiring the harness gives every member of a job. */
+struct Watch
+{
+    std::atomic<std::uint64_t> beat{0};
+    std::atomic<bool> abort{false};
+
+    void wire(FanoutCmp &fan)
+    {
+        for (std::size_t i = 0; i < fan.size(); ++i) {
+            fan.member(i).setProgressCounter(&beat);
+            fan.member(i).setAbortFlag(&abort);
+        }
+    }
+};
 
 /** Full-state fingerprint, mirroring tests/test_kernel_identity.cc. */
 std::string
@@ -228,6 +266,84 @@ TEST(Fanout, TelemetrySamplesMatchIndependent)
             << "telemetry samples of member " << i
             << " diverged from the independent run's";
     }
+}
+
+/**
+ * Arming the watchdog changes nothing a member computes: a watched and
+ * an unwatched twelve-member job end with identical state, replay and
+ * fallback counts, and checkpoint images at commit.
+ */
+TEST(Fanout, WatchedJobMatchesUnwatched)
+{
+    const std::vector<SystemConfig> cfgs = twelveConfigs();
+    ASSERT_EQ(cfgs.size(), 12u);
+
+    FanoutCmp plain(cfgs, mixFactory());
+    FanoutCmp watched(cfgs, mixFactory());
+    Watch watch;
+    watch.wire(watched);
+    for (FanoutCmp *fan : {&plain, &watched}) {
+        fan->run(kWarmup);
+        fan->beginMeasurement();
+        fan->run(kMeasure);
+    }
+    EXPECT_GT(watch.beat.load(), 0u) << "no heartbeat was published";
+
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        const Cmp &a = plain.member(i);
+        const Cmp &b = watched.member(i);
+        EXPECT_EQ(fingerprint(a), fingerprint(b)) << "member " << i;
+        EXPECT_EQ(a.feedReplays(), b.feedReplays()) << "member " << i;
+        EXPECT_EQ(a.feedFallbacks(), b.feedFallbacks()) << "member " << i;
+        Serializer sa;
+        a.save(sa);
+        Serializer sb;
+        b.save(sb);
+        EXPECT_EQ(sa.image(), sb.image())
+            << "member " << i << " checkpoints differently when watched";
+    }
+}
+
+/**
+ * An abort raised by another thread lands within one scheduling
+ * decision of a fan-out job whose cores ride the express lane: the job
+ * throws SimError(Hang) long before the run would have ended.
+ */
+TEST(Fanout, AbortLandsPromptlyOnExpressCores)
+{
+    using Clock = std::chrono::steady_clock;
+    FanoutCmp fan(twelveConfigs(), mixFactory());
+    Watch watch;
+    watch.wire(fan);
+
+    Clock::time_point raised;
+    std::thread raiser([&] {
+        // Mid-run: wait for forward progress before pulling the plug.
+        const Clock::time_point give_up = Clock::now() +
+                                          std::chrono::seconds(10);
+        while (watch.beat.load() < 20'000 && Clock::now() < give_up)
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        raised = Clock::now();
+        watch.abort.store(true);
+    });
+    bool hung = false;
+    try {
+        // Many seconds of simulation if the abort were never seen.
+        fan.run(50'000'000);
+    } catch (const SimError &err) {
+        hung = err.kind() == SimError::Kind::Hang;
+    }
+    const Clock::time_point caught = Clock::now();
+    raiser.join();
+
+    ASSERT_TRUE(hung) << "the job did not throw SimError(Hang)";
+    EXPECT_LT(std::chrono::duration<double>(caught - raised).count(), 1.0)
+        << "the abort took too long to land";
+    std::uint32_t express = 0;
+    for (std::size_t i = 0; i < fan.size(); ++i)
+        express += fan.member(i).expressCores();
+    EXPECT_GT(express, 0u)
+        << "no core was on the express lane when the abort landed";
 }
 
 /** The grouping predicate the harness keys fan-out batches on. */

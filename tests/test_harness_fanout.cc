@@ -242,5 +242,45 @@ TEST(HarnessFanout, RepeatedBaselineSweepIsMemoized)
     bench::clearBaselineMemoForTest();
 }
 
+/**
+ * The memo key covers every SystemConfig field: a reuse-cache config
+ * that differs from a memoized one only in its predictor (or its SLLC
+ * seed) must simulate afresh and match an unmemoized run, not be
+ * served the plain config's result.
+ */
+TEST(HarnessFanout, MemoKeyCoversEverySllcField)
+{
+    const auto opt = smokeOptions(1);
+    const auto mixes = makeMixes(1, 8, 7);
+    SystemConfig plain = reuseSystem(4.0, 1.0, 16, opt.scale);
+    bench::clearBaselineMemoForTest();
+    (void)bench::runBaselineOverMixes(plain, mixes, opt);
+
+    SystemConfig predictor = plain;
+    predictor.reuse.usePredictor = true;
+    SystemConfig smallTable = predictor;
+    smallTable.reuse.predictorEntries /= 4;
+    SystemConfig reseeded = plain;
+    reseeded.reuse.seed += 1;
+    const struct
+    {
+        const char *what;
+        SystemConfig cfg;
+    } variants[] = {
+        {"reuse predictor", predictor},
+        {"predictor entries", smallTable},
+        {"reuse seed", reseeded},
+    };
+    for (const auto &v : variants) {
+        const std::string before = bench::perfRecordJson();
+        const auto got = bench::runBaselineOverMixes(v.cfg, mixes, opt);
+        EXPECT_NE(bench::perfRecordJson(), before)
+            << v.what << ": served from the memo instead of simulated";
+        expectIdentical(bench::runMix(v.cfg, mixes[0], opt), got[0],
+                        v.what);
+    }
+    bench::clearBaselineMemoForTest();
+}
+
 } // namespace
 } // namespace rc

@@ -4,10 +4,13 @@
  * sweep relaunched with resume skips finished runs and reloads their
  * results, a sweep killed mid-run restores from its checkpoints to a
  * bit-identical aggregate, a livelocked run is detected, state-dumped
- * and quarantined while its siblings complete, and a quarantine retry
- * with a generation tracker attached reproduces a clean run exactly.
+ * and quarantined while its siblings complete, a batch with the
+ * watchdog armed ends with its last run, and a quarantine retry with a
+ * generation tracker attached reproduces a clean run exactly.
  */
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -375,6 +378,33 @@ TEST(HarnessResume, WatchdogQuarantinesLivelockedRunWhileSiblingsComplete)
     // The dump is a valid snapshot image (CRC verifies on open).
     Deserializer d(dump);
     d.beginSection("run");
+}
+
+/**
+ * The watchdog monitor polls every 0.25 s at the CLI default timeout;
+ * stopping it must not wait for the next poll, so a batch of trivial
+ * runs ends as soon as its last run does.
+ */
+TEST(HarnessResume, ArmedWatchdogBatchEndsWithItsLastRun)
+{
+    auto opt = smokeOptions(2);
+    opt.hangTimeout = 300.0;
+    constexpr int kBatches = 4;
+    std::atomic<int> ran{0};
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int b = 0; b < kBatches; ++b) {
+        const auto outcomes = bench::forEachRun(
+            2, opt, [&ran](std::size_t) { ran.fetch_add(1); });
+        for (const bench::RunOutcome &o : outcomes)
+            EXPECT_EQ(o.status, bench::RunStatus::Ok) << o.error;
+    }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_EQ(ran.load(), 2 * kBatches);
+    EXPECT_LT(wall, 0.25)
+        << kBatches << " watched batches of trivial runs took " << wall
+        << " s: forEachRun waited for the monitor's poll";
 }
 
 TEST(HarnessResume, HangDumpRetentionKeepsOnlyTheNewest)

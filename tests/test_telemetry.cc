@@ -1,10 +1,11 @@
 /**
  * @file
  * Telemetry subsystem tests: ring-buffer overflow discipline (drop vs
- * spill), Chrome trace_event JSON validity and per-track timestamp
- * monotonicity, epoch deltas summing to end-of-run aggregates, the
- * simulation staying bit-identical with telemetry on vs off, and the
- * sampler surviving checkpoint/restore mid-measurement.
+ * spill, and a spill file no TraceReader accepts), Chrome trace_event
+ * JSON validity and per-track timestamp monotonicity, epoch deltas
+ * summing to end-of-run aggregates, the simulation staying
+ * bit-identical with telemetry on vs off, and the sampler surviving
+ * checkpoint/restore mid-measurement.
  */
 
 #include <cctype>
@@ -20,6 +21,7 @@
 
 #include "sim/cmp.hh"
 #include "sim/system_config.hh"
+#include "sim/trace_file.hh"
 #include "snapshot/serializer.hh"
 #include "telemetry/epoch_sampler.hh"
 #include "telemetry/telemetry.hh"
@@ -206,6 +208,33 @@ TEST(TelemetryTracer, OverflowWithSpillKeepsEveryEvent)
         ++events;
     EXPECT_EQ(events, 20u);
     EXPECT_EQ(json.find("droppedEvents"), std::string::npos);
+}
+
+TEST(TelemetryTracer, TraceReaderRejectsSpillFile)
+{
+    EventTracer::Config cfg;
+    cfg.ringCapacity = 1;
+    cfg.spillPath = tempPath("tracer-not-a-trace.spill");
+    EventTracer tracer(cfg);
+    // Two spilled records frame as whole 12-byte v1 trace records
+    // (8-byte magic + 2 x 40-byte records = 16-byte header + 6 x 12),
+    // so only the magic can tell the spill file from a memory trace.
+    for (std::uint64_t i = 0; i < 3; ++i)
+        tracer.record("evt", TraceDomain::Sim, 0, i * 10);
+    ASSERT_EQ(tracer.spilled(), 2u);
+    std::ostringstream os;
+    tracer.exportChromeJson(os); // flushes the spill file to disk
+
+    try {
+        TraceReader reader(cfg.spillPath);
+        FAIL() << "TraceReader accepted a telemetry spill file ("
+               << reader.size() << " records)";
+    } catch (const SimError &err) {
+        EXPECT_EQ(err.kind(), SimError::Kind::Trace) << err.what();
+        EXPECT_NE(std::string(err.what()).find("bad magic"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(TelemetryTracer, SpillFileIsRemovedByDestructor)
