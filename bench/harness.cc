@@ -1219,7 +1219,7 @@ executeFanout(const std::vector<SystemConfig> &sys_cfgs, const Mix &mix,
     }
     FeedKey key;
     std::shared_ptr<const FeedBlob> blob;
-    std::unique_ptr<FeedKeyLease> lease;
+    std::unique_ptr<BlobLease> lease;
     if (fc) {
         key = feedKeyOf(cfgs.front(), mix, opt.seed, opt.scale,
                         opt.warmup, opt.measure);

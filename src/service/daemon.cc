@@ -19,6 +19,7 @@
 #include "sim/feed_cache.hh"
 #include "snapshot/serializer.hh"
 #include "telemetry/trace_event.hh"
+#include "verify/fault_injector.hh"
 
 namespace rc::svc
 {
@@ -76,25 +77,6 @@ trySendError(int fd, SimError::Kind kind, const std::string &msg,
     } catch (const SimError &) {
         // The peer is gone or wedged; nothing more to say to it.
     }
-}
-
-/** Flip one byte in the middle of @p path (blob fault injection). */
-void
-flipByteInFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r+b");
-    if (!f)
-        return;
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    if (size > 0) {
-        const long at = size / 2;
-        std::fseek(f, at, SEEK_SET);
-        const int c = std::fgetc(f);
-        std::fseek(f, at, SEEK_SET);
-        std::fputc((c == EOF ? 0 : c) ^ 0x5a, f);
-    }
-    std::fclose(f);
 }
 
 } // namespace
@@ -555,7 +537,8 @@ Daemon::workerLoop()
             if (corruptBudget.fetch_sub(1) > 0) {
                 // Mangle the blob AND evict the in-memory copy so the
                 // next lookup must take the disk path and detect it.
-                flipByteInFile(store.blobPath(job->digest));
+                FaultInjector(job->digest)
+                    .corruptBlobFile(store.blobPath(job->digest));
                 store.evictMemory(job->digest);
             } else {
                 corruptBudget.fetch_add(1);

@@ -1,15 +1,12 @@
 #include "service/poison.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include "common/filelock.hh"
 #include "common/log.hh"
-#include "service/run_request.hh" // digestHex
+#include "snapshot/blob_store.hh"
 
 namespace rc::svc
 {
@@ -22,22 +19,14 @@ constexpr const char *poisonHeader = "# rc poison index v1\n";
 
 } // namespace
 
-PoisonIndex::PoisonIndex(const std::string &dir) : dir(dir)
+PoisonIndex::PoisonIndex(const std::string &dir)
+    : path(dir + "/" + poisonName)
 {
     if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
         throwSimError(SimError::Kind::Io,
                       "cannot create poison directory '%s': %s",
                       dir.c_str(), std::strerror(errno));
-    std::FILE *f = std::fopen((dir + "/" + poisonName).c_str(), "rb");
-    if (!f)
-        return;
-    char line[128];
-    while (std::fgets(line, sizeof(line), f)) {
-        unsigned long long digest = 0;
-        if (std::sscanf(line, "poison digest=%llx", &digest) == 1)
-            blacklist.insert(digest);
-    }
-    std::fclose(f);
+    blacklist = readDigestLines(path, "poison");
     recoveredCount = blacklist.size();
 }
 
@@ -65,7 +54,7 @@ PoisonIndex::recordCrash(std::uint64_t digest, std::uint64_t worker_uid,
     }
     // Persist outside the lock: a slow fsync must not stall the
     // supervisor's crash handling for other digests.
-    appendQuarantine(digest);
+    appendLocked(path, poisonHeader, digestLine("poison", digest));
     return true;
 }
 
@@ -78,35 +67,6 @@ PoisonIndex::stats() const
     out.quarantined = blacklist.size();
     out.recovered = recoveredCount;
     return out;
-}
-
-void
-PoisonIndex::appendQuarantine(std::uint64_t digest)
-{
-    const std::string path = dir + "/" + poisonName;
-    const bool fresh = ::access(path.c_str(), F_OK) != 0;
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f) {
-        warn("poison index: cannot open '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    char line[64];
-    std::snprintf(line, sizeof(line), "poison digest=%s\n",
-                  digestHex(digest).c_str());
-    try {
-        // flock orders appends against other daemons sharing the
-        // directory; load tolerates a torn tail line regardless.
-        ScopedFileLock flock(::fileno(f));
-        if (fresh)
-            std::fputs(poisonHeader, f);
-        std::fputs(line, f);
-        std::fflush(f);
-        ::fsync(::fileno(f));
-    } catch (const SimError &err) {
-        warn("poison index: append skipped: %s", err.what());
-    }
-    std::fclose(f);
 }
 
 } // namespace rc::svc

@@ -72,9 +72,7 @@ class PoisonIndex
     PoisonStats stats() const;
 
   private:
-    void appendQuarantine(std::uint64_t digest);
-
-    std::string dir;
+    const std::string path; //!< the poison.index file
     mutable std::mutex mu;
     //! digest -> distinct dead worker uids (in-memory only)
     std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>>

@@ -2,33 +2,20 @@
  * @file
  * Persistent content-addressed result cache for the sweep daemon.
  *
- * Layout under the cache directory:
- *
- *   memo-<digest16hex>.bin   one completed result per blob, written
- *                            atomically (tmp + fsync + rename, the
- *                            snapshot discipline) so a crash mid-write
- *                            can never tear an entry under its final
- *                            name;
- *   cache.index              append-only bookkeeping of stored digests,
- *                            flock-guarded so concurrent writers (a
- *                            restarted daemon overlapping its draining
- *                            predecessor) never interleave torn lines.
+ * The blobs live in a BlobStore (snapshot/blob_store.hh), which owns the
+ * layout, atomic writes, the flock'd `cache.index` and startup
+ * recovery: `memo-<digest16hex>.bin`, one completed result per blob.
  *
  * Every blob carries the full canonical request bytes next to the
  * result: a lookup verifies the container CRC AND compares those key
  * bytes against the probe before returning anything, so neither a
  * corrupted blob nor a digest collision can ever surface a wrong
  * answer — both silently demote to a cache miss and a re-simulation,
- * and corrupt blobs are unlinked on detection.
+ * and corrupt blobs are dropped on detection.
  *
  * Repeat hits are served from a bounded in-memory copy of decoded
  * entries; the blobs stay the durable truth (evicting the memory layer
  * only costs a verified disk re-read, never an answer).
- *
- * Startup recovery scans the directory: blobs are the source of truth
- * (an entry whose rename landed but whose index append did not is
- * adopted), stale *.tmp leftovers of a killed writer are deleted, and
- * the index is rewritten compacted.
  */
 
 #ifndef RC_SERVICE_RESULT_CACHE_HH
@@ -38,11 +25,11 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "service/run_request.hh"
 #include "sim/run_result.hh"
+#include "snapshot/blob_store.hh"
 
 namespace rc::svc
 {
@@ -81,16 +68,19 @@ class ResultCache
     void store(const RunRequest &req, const RunResult &res);
 
     /** Number of entries currently believed present. */
-    std::size_t size() const;
+    std::size_t size() const { return blobs.size(); }
 
     /** Counter snapshot (taken under the cache lock). */
     ResultCacheStats stats() const;
 
     /** Rewrite the compacted index (SIGTERM drain persistence). */
-    void persistIndex();
+    void persistIndex() { blobs.persistIndex(); }
 
     /** Blob path for @p digest (tests and fault injection). */
-    std::string blobPath(std::uint64_t digest) const;
+    std::string blobPath(std::uint64_t digest) const
+    {
+        return blobs.path(digest);
+    }
 
     /**
      * Drop the in-memory copy of @p digest so the next lookup re-reads
@@ -99,7 +89,7 @@ class ResultCache
      */
     void evictMemory(std::uint64_t digest);
 
-    const std::string &directory() const { return dir; }
+    const std::string &directory() const { return blobs.directory(); }
 
   private:
     /** A decoded entry resident in memory; blobs stay the durable
@@ -110,12 +100,8 @@ class ResultCache
         RunResult result;
     };
 
-    void appendIndex(std::uint64_t digest);
-    void recover();
-
-    std::string dir;
+    BlobStore blobs;
     mutable std::mutex mu;
-    std::unordered_set<std::uint64_t> known; //!< digests with blobs
     std::unordered_map<std::uint64_t, MemoEntry> memo;
     ResultCacheStats counters;
 };

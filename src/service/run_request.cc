@@ -1,7 +1,5 @@
 #include "service/run_request.hh"
 
-#include <cstdio>
-
 #include "common/log.hh"
 #include "sim/feed_cache.hh"
 #include "snapshot/serializer.hh"
@@ -156,17 +154,7 @@ void
 putCanonical(Serializer &s, const RunRequest &req)
 {
     putConfig(s, req.config);
-    s.beginSection("mix");
-    s.putU64(req.mix.apps.size());
-    for (const std::string &app : req.mix.apps)
-        s.putString(app);
-    s.endSection("mix");
-    s.beginSection("opt");
-    s.putU64(req.seed);
-    s.putU32(req.scale);
-    s.putU64(req.warmup);
-    s.putU64(req.measure);
-    s.endSection("opt");
+    putRunInputs(s, req.mix, req.seed, req.scale, req.warmup, req.measure);
 }
 
 } // namespace
@@ -176,32 +164,13 @@ canonicalBytes(const RunRequest &req)
 {
     Serializer s;
     putCanonical(s, req);
-    // image() wraps the payload in the snapshot container (12-byte
-    // header, trailing CRC32); the canonical form is the section-framed
-    // payload alone, which both sides of the store comparison rebuild.
-    std::vector<std::uint8_t> img = s.image();
-    return std::vector<std::uint8_t>(img.begin() + 12, img.end() - 4);
+    return s.payload();
 }
 
 std::uint64_t
 requestDigest(const RunRequest &req)
 {
-    const std::vector<std::uint8_t> bytes = canonicalBytes(req);
-    std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a 64 offset basis
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::string
-digestHex(std::uint64_t digest)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buf;
+    return fnv1a64(canonicalBytes(req));
 }
 
 void

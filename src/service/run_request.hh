@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/system_config.hh"
+#include "snapshot/blob_store.hh"
 #include "workloads/mixes.hh"
 
 namespace rc
@@ -64,8 +65,7 @@ std::vector<std::uint8_t> canonicalBytes(const RunRequest &req);
 /** FNV-1a 64-bit digest of canonicalBytes(req): the cache key. */
 std::uint64_t requestDigest(const RunRequest &req);
 
-/** 16-hex-digit spelling of a digest (blob file names, logs). */
-std::string digestHex(std::uint64_t digest);
+using rc::digestHex;
 
 /** Wire encoding: canonical fields + the deadline. */
 void encodeRequest(Serializer &s, const RunRequest &req);

@@ -21,15 +21,15 @@
 #include "service/frame.hh"
 #include "snapshot/serializer.hh"
 
-// AddressSanitizer reserves terabytes of shadow address space at
-// startup; any realistic RLIMIT_AS cap would kill the child before its
-// first job, so the cap is compiled out under ASan (the allocation-bomb
+// AddressSanitizer reserves terabytes of shadow address space and
+// ThreadSanitizer's allocator starves under a few hundred MiB, so the
+// RLIMIT_AS cap is compiled out under both (the allocation-bomb
 // backstop in the child's bad_alloc handler still applies).
-#if defined(__SANITIZE_ADDRESS__)
-#define RC_WORKER_ASAN 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RC_WORKER_SANITIZED 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define RC_WORKER_ASAN 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RC_WORKER_SANITIZED 1
 #endif
 #endif
 
@@ -102,7 +102,7 @@ applyLimits(const WorkerLimits &limits)
         rl.rlim_max = limits.cpuSeconds + 1;
         ::setrlimit(RLIMIT_CPU, &rl);
     }
-#if !defined(RC_WORKER_ASAN)
+#if !defined(RC_WORKER_SANITIZED)
     if (limits.addressSpaceBytes != 0) {
         struct rlimit rl;
         rl.rlim_cur = limits.addressSpaceBytes;

@@ -472,19 +472,20 @@ FanoutCmp::FanoutCmp(const std::vector<SystemConfig> &configs,
 bool
 FanoutCmp::samePrivatePrefix(const SystemConfig &a, const SystemConfig &b)
 {
-    return a.numCores == b.numCores &&
-           a.priv.l1Bytes == b.priv.l1Bytes &&
-           a.priv.l1Ways == b.priv.l1Ways &&
-           a.priv.l1Latency == b.priv.l1Latency &&
-           a.priv.l2Bytes == b.priv.l2Bytes &&
-           a.priv.l2Ways == b.priv.l2Ways &&
-           a.priv.l2Latency == b.priv.l2Latency &&
-           a.prefetch.enable == b.prefetch.enable &&
-           a.prefetch.degree == b.prefetch.degree &&
-           a.prefetch.tableEntries == b.prefetch.tableEntries &&
-           a.prefetch.regionShift == b.prefetch.regionShift &&
-           a.prefetch.minConfidence == b.prefetch.minConfidence &&
-           a.seed == b.seed && a.capacityScale == b.capacityScale;
+    // The config fields of the feed key's "front" section (feedKeyOf):
+    // a's bytes, then b's, in one buffer.
+    Serializer s;
+    std::size_t split = 0;
+    for (const SystemConfig *c : {&a, &b}) {
+        split = s.payload().size();
+        putFrontEndConfig(s, *c);
+        s.putU64(c->seed);
+        s.putU32(c->capacityScale);
+    }
+    const std::vector<std::uint8_t> &bytes = s.payload();
+    return bytes.size() == 2 * split &&
+           std::equal(bytes.begin(), bytes.begin() + split,
+                      bytes.begin() + split);
 }
 
 void

@@ -420,10 +420,10 @@ class FanoutCmp
               bool capture = false);
 
     /**
-     * Do @p a and @p b share the front-end-invariant config prefix
-     * (cores, private hierarchy, prefetch, seed, capacity scale)?  The
-     * harness groups runs by this predicate (plus the mix) to decide
-     * what can share one fan-out pass.
+     * Do @p a and @p b share the front-end-invariant config prefix,
+     * i.e. the bytes of the feed key's front section (putFrontEndConfig,
+     * seed, capacity scale)?  The harness groups runs by this predicate
+     * (plus the mix) to decide what can share one fan-out pass.
      */
     static bool samePrivatePrefix(const SystemConfig &a,
                                   const SystemConfig &b);

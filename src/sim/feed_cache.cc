@@ -7,14 +7,11 @@
 #include <limits.h>
 #include <type_traits>
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/filelock.hh"
 #include "common/log.hh"
 #include "sim/fanout.hh"
 #include "snapshot/serializer.hh"
@@ -37,8 +34,6 @@ constexpr std::uint64_t kHeaderBytes = 72;
 //! per-core array is re-aligned to 64 so mapped loads never straddle.
 constexpr std::uint64_t kArraysAlign = 64;
 constexpr std::uint32_t kEndianTag = 0x01020304;
-constexpr const char *kIndexName = "feed.index";
-constexpr const char *kIndexHeader = "# rc feed cache index v1\n";
 
 // Fixed header field offsets (bytes).
 constexpr std::size_t kOffVersion = 8;
@@ -122,38 +117,11 @@ struct FeedHasher
     }
 };
 
-std::uint64_t
-fnv1aBytes(const std::vector<std::uint8_t> &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const std::uint8_t b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** Parse the 16-hex digest out of "feed-<digest>.bin" (false on
- *  anything else, including .lock and .tmp siblings). */
-bool
-digestFromBlobName(const std::string &name, std::uint64_t &digest)
-{
-    if (name.size() != 4 + 1 + 16 + 4 || name.rfind("feed-", 0) != 0 ||
-        name.substr(name.size() - 4) != ".bin")
-        return false;
-    char *end = nullptr;
-    const std::string hex = name.substr(5, 16);
-    digest = std::strtoull(hex.c_str(), &end, 16);
-    return end != nullptr && *end == '\0';
-}
-
 void
-fwriteAll(std::FILE *f, const void *data, std::size_t len,
-          const char *path)
+fwriteAll(std::FILE *f, const void *data, std::size_t len)
 {
     if (len != 0 && std::fwrite(data, 1, len, f) != len)
-        throwSimError(SimError::Kind::Io,
-                      "short write to feed blob '%s': %s", path,
+        throwSimError(SimError::Kind::Io, "short write to a feed blob: %s",
                       std::strerror(errno));
 }
 
@@ -176,6 +144,23 @@ putFrontEndConfig(Serializer &s, const SystemConfig &c)
     s.putU32(c.prefetch.minConfidence);
 }
 
+void
+putRunInputs(Serializer &s, const Mix &mix, std::uint64_t seed,
+             std::uint32_t scale, std::uint64_t warmup, std::uint64_t measure)
+{
+    s.beginSection("mix");
+    s.putU64(mix.apps.size());
+    for (const std::string &app : mix.apps)
+        s.putString(app);
+    s.endSection("mix");
+    s.beginSection("opt");
+    s.putU64(seed);
+    s.putU32(scale);
+    s.putU64(warmup);
+    s.putU64(measure);
+    s.endSection("opt");
+}
+
 FeedKey
 feedKeyOf(const SystemConfig &cfg, const Mix &mix, std::uint64_t seed,
           std::uint32_t scale, std::uint64_t warmup,
@@ -188,35 +173,12 @@ feedKeyOf(const SystemConfig &cfg, const Mix &mix, std::uint64_t seed,
     s.putU64(cfg.seed);
     s.putU32(cfg.capacityScale);
     s.endSection("front");
-    s.beginSection("mix");
-    s.putU64(mix.apps.size());
-    for (const std::string &app : mix.apps)
-        s.putString(app);
-    s.endSection("mix");
-    s.beginSection("opt");
-    s.putU64(seed);
-    s.putU32(scale);
-    s.putU64(warmup);
-    s.putU64(measure);
-    s.endSection("opt");
+    putRunInputs(s, mix, seed, scale, warmup, measure);
     s.endSection("feedkey");
-    // The canonical form is the section-framed payload alone, shorn of
-    // the snapshot container header and trailing CRC (the same
-    // convention as the service's canonicalBytes()).
-    const std::vector<std::uint8_t> img = s.image();
     FeedKey key;
-    key.bytes.assign(img.begin() + 12, img.end() - 4);
-    key.digest = fnv1aBytes(key.bytes);
+    key.bytes = s.payload();
+    key.digest = fnv1a64(key.bytes);
     return key;
-}
-
-std::string
-feedDigestHex(std::uint64_t digest)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(digest));
-    return buf;
 }
 
 std::uint64_t
@@ -403,13 +365,10 @@ FeedBlob::open(const std::string &path)
 // --------------------------------------------------------------------
 // FeedCache
 
-FeedCache::FeedCache(const std::string &dir) : dir(dir)
+FeedCache::FeedCache(const std::string &dir)
+    : blobs(dir, "feed", "feed.index", "# rc feed cache index v1\n")
 {
-    if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-        throwSimError(SimError::Kind::Io,
-                      "cannot create feed cache directory '%s': %s",
-                      dir.c_str(), std::strerror(errno));
-    recover();
+    counters.recovered = blobs.recovered();
 }
 
 std::shared_ptr<FeedCache>
@@ -439,65 +398,12 @@ FeedCache::open(const std::string &dir)
     return cache;
 }
 
-std::string
-FeedCache::blobPath(std::uint64_t digest) const
-{
-    return dir + "/feed-" + feedDigestHex(digest) + ".bin";
-}
-
-void
-FeedCache::recover()
-{
-    // Same discipline as the result cache: blobs are the source of
-    // truth, unindexed blobs are adopted, stale tmps of a killed writer
-    // are swept, and the index is rewritten compacted.  Lock files are
-    // left alone — a live process may hold them, and replacing a held
-    // lock file's inode would split the mutual exclusion.
-    std::unordered_set<std::uint64_t> indexed;
-    {
-        std::FILE *f = std::fopen((dir + "/" + kIndexName).c_str(), "rb");
-        if (f) {
-            char line[128];
-            while (std::fgets(line, sizeof(line), f)) {
-                unsigned long long digest = 0;
-                if (std::sscanf(line, "entry digest=%llx", &digest) == 1)
-                    indexed.insert(digest);
-            }
-            std::fclose(f);
-        }
-    }
-
-    DIR *d = ::opendir(dir.c_str());
-    if (!d)
-        throwSimError(SimError::Kind::Io,
-                      "cannot scan feed cache directory '%s': %s",
-                      dir.c_str(), std::strerror(errno));
-    std::vector<std::string> staleTmp;
-    while (struct dirent *ent = ::readdir(d)) {
-        const std::string name = ent->d_name;
-        if (name.size() > 4 && name.substr(name.size() - 4) == ".tmp") {
-            staleTmp.push_back(dir + "/" + name);
-            continue;
-        }
-        std::uint64_t digest = 0;
-        if (!digestFromBlobName(name, digest))
-            continue;
-        known.insert(digest);
-        if (!indexed.count(digest))
-            ++counters.recovered;
-    }
-    ::closedir(d);
-    for (const std::string &tmp : staleTmp)
-        ::unlink(tmp.c_str());
-    persistIndex();
-}
-
 std::shared_ptr<const FeedBlob>
 FeedCache::lookup(const FeedKey &key)
 {
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (!known.count(key.digest)) {
+        if (!blobs.contains(key.digest)) {
             ++counters.misses;
             return nullptr;
         }
@@ -515,7 +421,7 @@ FeedCache::lookup(const FeedKey &key)
             resident.erase(it);
         }
     }
-    const std::string path = blobPath(key.digest);
+    const std::string path = blobs.path(key.digest);
     std::shared_ptr<const FeedBlob> blob;
     try {
         blob = FeedBlob::open(path);
@@ -526,9 +432,8 @@ FeedCache::lookup(const FeedKey &key)
     } catch (const SimError &) {
         // Torn, truncated, bit-flipped or stale-format blob: drop it
         // and let the caller recompute.  Never a wrong stream.
-        ::unlink(path.c_str());
+        blobs.drop(key.digest);
         std::lock_guard<std::mutex> lock(mu);
-        known.erase(key.digest);
         resident.erase(key.digest);
         ++counters.corruptDropped;
         ++counters.misses;
@@ -547,56 +452,14 @@ FeedCache::lookup(const FeedKey &key)
     return blob;
 }
 
-FeedKeyLease::~FeedKeyLease()
-{
-    if (fd >= 0) {
-        ::flock(fd, LOCK_UN);
-        ::close(fd);
-    }
-}
-
-std::unique_ptr<FeedKeyLease>
-FeedCache::lockKey(std::uint64_t digest)
-{
-    const std::string path = blobPath(digest) + ".lock";
-    const int fd = ::open(path.c_str(), O_CREAT | O_RDWR, 0666);
-    if (fd < 0) {
-        warn("feed cache: cannot open key lock '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return nullptr;
-    }
-    int rc;
-    do {
-        rc = ::flock(fd, LOCK_EX);
-    } while (rc != 0 && errno == EINTR);
-    if (rc != 0) {
-        ::close(fd);
-        warn("feed cache: cannot lock key '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return nullptr;
-    }
-    auto lease = std::unique_ptr<FeedKeyLease>(new FeedKeyLease());
-    lease->fd = fd;
-    return lease;
-}
-
 void
 FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
 {
     RC_ASSERT(feed.capturing(),
               "feed-cache store needs a capture-mode feed");
-    const std::string path = blobPath(key.digest);
-    const std::string tmp =
-        path + "." + std::to_string(::getpid()) + ".tmp";
-
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("feed cache: cannot persist %s: %s",
-             feedDigestHex(key.digest).c_str(), std::strerror(errno));
-        return;
-    }
-    bool ok = false;
-    try {
+    // Everything the blob is built from lives inside the fill, so it is
+    // freed before put() records the digest.
+    const bool stored = blobs.put(key.digest, [&](std::FILE *f) {
         const std::uint32_t cores = feed.numCores();
         const std::uint64_t arraysOff = align64(kHeaderBytes);
 
@@ -669,19 +532,19 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
         // placeholder and every (shorter than kArraysAlign) pad.
         static const std::uint8_t
             zeros[std::max(kHeaderBytes, kArraysAlign)] = {};
-        fwriteAll(f, zeros, kHeaderBytes, tmp.c_str());
-        fwriteAll(f, zeros, arraysOff - kHeaderBytes, tmp.c_str());
+        fwriteAll(f, zeros, kHeaderBytes);
+        fwriteAll(f, zeros, arraysOff - kHeaderBytes);
         FeedHasher hash;
         std::uint64_t pos = arraysOff;
         const auto pad = [&](std::uint64_t to) {
             RC_ASSERT(to >= pos && to - pos < kArraysAlign,
                       "feed blob layout drifted while writing");
-            fwriteAll(f, zeros, to - pos, tmp.c_str());
+            fwriteAll(f, zeros, to - pos);
             hash.words(zeros, to - pos);
             pos = to;
         };
         const auto emit = [&](const void *data, std::uint64_t bytes) {
-            fwriteAll(f, data, bytes, tmp.c_str());
+            fwriteAll(f, data, bytes);
             hash.words(data, bytes);
             pos += bytes;
         };
@@ -703,7 +566,7 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
             emit(llc.data(), l.llcCount * 8);
         }
         RC_ASSERT(pos == metaOff, "feed blob arrays region drifted");
-        fwriteAll(f, metaImg.data(), metaImg.size(), tmp.c_str());
+        fwriteAll(f, metaImg.data(), metaImg.size());
 
         std::uint8_t hdr[kHeaderBytes];
         std::memcpy(hdr, kMagic, sizeof(kMagic));
@@ -718,102 +581,13 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
         st32(hdr + kOffEndianTag, kEndianTag);
         st32(hdr + kOffHeaderCrc, crc32(hdr, kOffHeaderCrc));
         if (std::fseek(f, 0, SEEK_SET) != 0)
-            throwSimError(SimError::Kind::Io,
-                          "cannot rewind feed blob '%s'", tmp.c_str());
-        fwriteAll(f, hdr, kHeaderBytes, tmp.c_str());
-        if (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0)
-            throwSimError(SimError::Kind::Io,
-                          "cannot flush feed blob '%s': %s", tmp.c_str(),
-                          std::strerror(errno));
-        ok = true;
-    } catch (const SimError &err) {
-        // Failing to persist costs a future front-end recompute,
-        // nothing else.
-        warn("feed cache: cannot persist %s: %s",
-             feedDigestHex(key.digest).c_str(), err.what());
-    }
-    std::fclose(f);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        if (ok)
-            warn("feed cache: cannot land blob '%s': %s", path.c_str(),
-                 std::strerror(errno));
+            throwSimError(SimError::Kind::Io, "cannot rewind a feed blob");
+        fwriteAll(f, hdr, kHeaderBytes);
+    });
+    if (!stored)
         return;
-    }
-    appendIndex(key.digest);
     std::lock_guard<std::mutex> lock(mu);
-    known.insert(key.digest);
     ++counters.stores;
-}
-
-void
-FeedCache::appendIndex(std::uint64_t digest)
-{
-    const std::string path = dir + "/" + kIndexName;
-    const bool fresh = ::access(path.c_str(), F_OK) != 0;
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f) {
-        warn("feed cache: cannot open index '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    char line[64];
-    std::snprintf(line, sizeof(line), "entry digest=%s\n",
-                  feedDigestHex(digest).c_str());
-    try {
-        // flock orders this append against other processes sharing the
-        // directory; recovery tolerates a torn tail anyway, but
-        // well-formed records make post-mortems readable.
-        ScopedFileLock flock(::fileno(f));
-        if (fresh)
-            std::fputs(kIndexHeader, f);
-        std::fputs(line, f);
-        std::fflush(f);
-        ::fsync(::fileno(f));
-    } catch (const SimError &err) {
-        warn("feed cache: index append skipped: %s", err.what());
-    }
-    std::fclose(f);
-}
-
-void
-FeedCache::persistIndex()
-{
-    std::unordered_set<std::uint64_t> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        snapshot = known;
-    }
-    const std::string path = dir + "/" + kIndexName;
-    // pid-unique tmp (same convention as blob tmps, so recovery sweeps
-    // it): two processes compacting at once must not clobber each
-    // other's staging file — either rename landing is correct.
-    const std::string tmp =
-        path + "." + std::to_string(::getpid()) + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("feed cache: cannot rewrite index '%s': %s", path.c_str(),
-             std::strerror(errno));
-        return;
-    }
-    std::fputs(kIndexHeader, f);
-    for (const std::uint64_t digest : snapshot)
-        std::fprintf(f, "entry digest=%s\n",
-                     feedDigestHex(digest).c_str());
-    const bool ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-    std::fclose(f);
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        warn("feed cache: cannot land the compacted index '%s'",
-             path.c_str());
-    }
-}
-
-std::size_t
-FeedCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return known.size();
 }
 
 FeedCacheStats

@@ -33,10 +33,10 @@
  * StepRecords straight out of the mmap.  Lookups verify the header CRC,
  * the arrays hash, the meta container CRC, AND compare the stored key
  * bytes against the probe — a corrupt blob or digest collision demotes
- * to a miss (corruption additionally unlinks the blob), never a wrong
- * answer.  Writes follow the ResultCache crash-safety discipline:
- * tmp + fsync + rename, a flock-guarded append-only `feed.index`, and
- * startup recovery that adopts unindexed blobs and sweeps stale tmps.
+ * to a miss (corruption additionally drops the blob), never a wrong
+ * answer.  The blobs live in a BlobStore (snapshot/blob_store.hh),
+ * which owns atomic writes, the flock'd `feed.index`, startup recovery
+ * and the per-key lease.
  */
 
 #ifndef RC_SIM_FEED_CACHE_HH
@@ -47,11 +47,11 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/private_cache.hh"
 #include "sim/system_config.hh"
+#include "snapshot/blob_store.hh"
 #include "workloads/mixes.hh"
 
 namespace rc
@@ -71,6 +71,15 @@ class FanoutFeed;
  */
 void putFrontEndConfig(Serializer &s, const SystemConfig &c);
 
+/**
+ * Serialize the run inputs that follow the config in every key: the
+ * mix's application list and the deterministic run window.  The
+ * service's canonical encoding and feedKeyOf() both call it.
+ */
+void putRunInputs(Serializer &s, const Mix &mix, std::uint64_t seed,
+                  std::uint32_t scale, std::uint64_t warmup,
+                  std::uint64_t measure);
+
 /** Canonical feed-cache key: bytes + their FNV-1a 64 digest. */
 struct FeedKey
 {
@@ -87,9 +96,6 @@ struct FeedKey
 FeedKey feedKeyOf(const SystemConfig &cfg, const Mix &mix,
                   std::uint64_t seed, std::uint32_t scale,
                   std::uint64_t warmup, std::uint64_t measure);
-
-/** 16-hex-digit spelling of a key digest (blob names, logs). */
-std::string feedDigestHex(std::uint64_t digest);
 
 /** Word-stride 64-bit hash of the arrays region; memory-bandwidth
  *  integrity check where byte-wise CRC32 would dominate a warm open. */
@@ -165,23 +171,6 @@ struct FeedCacheStats
 };
 
 /**
- * RAII holder of one key's exclusive flock lease (see
- * FeedCache::lockKey()); unlocks and closes on destruction.
- */
-class FeedKeyLease
-{
-  public:
-    ~FeedKeyLease();
-    FeedKeyLease(const FeedKeyLease &) = delete;
-    FeedKeyLease &operator=(const FeedKeyLease &) = delete;
-
-  private:
-    friend class FeedCache;
-    FeedKeyLease() = default;
-    int fd = -1;
-};
-
-/**
  * The persistent feed store; thread-safe.  Opened blobs are kept as
  * weak references so concurrent sweep jobs hitting the same key share
  * one mapping, while idle blobs cost nothing once the last replaying
@@ -209,43 +198,39 @@ class FeedCache
     std::shared_ptr<const FeedBlob> lookup(const FeedKey &key);
 
     /**
-     * Persist @p feed's captured record streams under @p key (atomic
-     * tmp+fsync+rename blob, flock-guarded index append).  The feed
-     * must have been constructed in capture mode.
+     * Persist @p feed's captured record streams under @p key
+     * (BlobStore::put).  The feed must have been constructed in
+     * capture mode.
      */
     void store(const FeedKey &key, const FanoutFeed &feed);
 
     /** Number of blobs currently believed present. */
-    std::size_t size() const;
+    std::size_t size() const { return blobs.size(); }
 
     /** Counter snapshot (taken under the cache lock). */
     FeedCacheStats stats() const;
 
     /** Blob path for @p digest (tests and fault injection). */
-    std::string blobPath(std::uint64_t digest) const;
+    std::string blobPath(std::uint64_t digest) const
+    {
+        return blobs.path(digest);
+    }
 
     /**
-     * Acquire the exclusive flock lease for @p digest's key (blocking).
-     * Cold-key writers take this before simulating so two processes
-     * racing the same key serialize: the first computes and stores, the
-     * second wakes, re-looks-up, and replays the warm blob.  Purely an
-     * efficiency protocol — correctness never depends on it, and a
-     * nullptr return (lock file unusable) just means both compute.
+     * The key lease (BlobStore::lease): cold-key writers take it before
+     * simulating, then look up again, so a process that lost the race
+     * replays the winner's blob.
      */
-    std::unique_ptr<FeedKeyLease> lockKey(std::uint64_t digest);
+    std::unique_ptr<BlobLease> lockKey(std::uint64_t digest)
+    {
+        return blobs.lease(digest);
+    }
 
-    /** Rewrite the compacted index. */
-    void persistIndex();
-
-    const std::string &directory() const { return dir; }
+    const std::string &directory() const { return blobs.directory(); }
 
   private:
-    void appendIndex(std::uint64_t digest);
-    void recover();
-
-    std::string dir;
+    BlobStore blobs;
     mutable std::mutex mu;
-    std::unordered_set<std::uint64_t> known; //!< digests with blobs
     //! Live mappings by digest; weak so an unused blob unmaps itself.
     std::unordered_map<std::uint64_t, std::weak_ptr<const FeedBlob>>
         resident;

@@ -3,9 +3,8 @@
 #include <cstdio>
 #include <cstring>
 
-#include <unistd.h>
-
 #include "common/log.hh"
+#include "snapshot/blob_store.hh"
 
 namespace rc
 {
@@ -135,29 +134,21 @@ Serializer::image() const
     return out;
 }
 
+const std::vector<std::uint8_t> &
+Serializer::payload() const
+{
+    RC_ASSERT(open.empty(), "snapshot payload with %zu unclosed section(s)",
+              open.size());
+    return buf;
+}
+
 void
 Serializer::writeFile(const std::string &path) const
 {
     const std::vector<std::uint8_t> bytes = image();
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        throwSimError(SimError::Kind::Snapshot,
-                      "cannot open '%s' for writing", tmp.c_str());
-    const bool wrote =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-        std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-    std::fclose(f);
-    if (!wrote) {
-        std::remove(tmp.c_str());
-        throwSimError(SimError::Kind::Snapshot,
-                      "short write persisting snapshot '%s'", tmp.c_str());
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throwSimError(SimError::Kind::Snapshot,
-                      "cannot rename '%s' into place", tmp.c_str());
-    }
+    writeFileAtomically(path, [&bytes](std::FILE *f) {
+        std::fwrite(bytes.data(), 1, bytes.size(), f);
+    });
 }
 
 // --------------------------------------------------------------------------

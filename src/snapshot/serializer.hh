@@ -65,14 +65,18 @@ class Serializer
      *  closed. */
     std::vector<std::uint8_t> image() const;
 
+    /** The section-framed payload alone, without the container header
+     *  and CRC (canonical key bytes); all sections must be closed. */
+    const std::vector<std::uint8_t> &payload() const;
+
     /** CRC32 of the payload alone (used as the journal's stat digest). */
     std::uint32_t payloadCrc() const;
 
     /**
-     * Atomically write image() to @p path: the bytes go to a ".tmp"
-     * sibling which is fsync'd and then renamed over the target, so a
-     * crash mid-write can never leave a half-written checkpoint under
-     * the final name.  Throws SimError(Snapshot) on any I/O failure.
+     * Write image() to @p path with writeFileAtomically()
+     * (snapshot/blob_store.hh), so a crash mid-write can never leave a
+     * half-written checkpoint under the final name.  Throws
+     * SimError(Snapshot) on any I/O failure.
      */
     void writeFile(const std::string &path) const;
 

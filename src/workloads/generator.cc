@@ -1,5 +1,4 @@
 #include "workloads/generator.hh"
-#include <cstdlib>
 
 #include <algorithm>
 #include <cmath>
@@ -162,8 +161,6 @@ SyntheticStream::SyntheticStream(const AppProfile &app, CoreId core,
     // relocate and the popularity rankings reshuffle.  Cores start at
     // staggered positions within their first phase.
     refsPerPhase = app.phaseRefs / scale;
-    if (const char *p = std::getenv("RC_PHASE_REFS"))
-        refsPerPhase = static_cast<std::uint64_t>(std::atoll(p)) / scale;
     phaseSeed = SplitMix64(seed ^ 0xfeedfacecafebeefULL ^ core).next();
     if (refsPerPhase > 0)
         refsInPhase = SplitMix64(phaseSeed).next() % refsPerPhase;

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/replacement.hh"
+#include "service/run_request.hh"
 #include "sim/cmp.hh"
 #include "sim/fanout.hh"
 #include "sim/feed_cache.hh"
@@ -145,7 +146,7 @@ runViaProtocol(const std::string &dir,
     const FeedKey key =
         feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, warmup, measure);
     std::shared_ptr<const FeedBlob> blob = fc.lookup(key);
-    std::unique_ptr<FeedKeyLease> lease;
+    std::unique_ptr<BlobLease> lease;
     if (!blob) {
         lease = fc.lockKey(key.digest);
         blob = fc.lookup(key);
@@ -310,6 +311,146 @@ TEST(FeedCacheTest, KeySensitivity)
         "private prefix (L2 bytes)");
 }
 
+TEST(FeedCacheTest, OnlyFrontEndConfigFieldsKeyTheFeed)
+{
+    // One entry per SystemConfig field, flagged when the front end
+    // (reference generation and the private hierarchy) depends on it.
+    struct Field
+    {
+        const char *name;
+        bool front;
+        void (*perturb)(SystemConfig &);
+    };
+    const Field fields[] = {
+        {"numCores", true, [](SystemConfig &c) { ++c.numCores; }},
+        {"priv.l1Bytes", true, [](SystemConfig &c) { c.priv.l1Bytes *= 2; }},
+        {"priv.l1Ways", true, [](SystemConfig &c) { ++c.priv.l1Ways; }},
+        {"priv.l1Latency", true, [](SystemConfig &c) { ++c.priv.l1Latency; }},
+        {"priv.l2Bytes", true, [](SystemConfig &c) { c.priv.l2Bytes *= 2; }},
+        {"priv.l2Ways", true, [](SystemConfig &c) { ++c.priv.l2Ways; }},
+        {"priv.l2Latency", true, [](SystemConfig &c) { ++c.priv.l2Latency; }},
+        {"prefetch.enable", true,
+         [](SystemConfig &c) { c.prefetch.enable = !c.prefetch.enable; }},
+        {"prefetch.degree", true,
+         [](SystemConfig &c) { ++c.prefetch.degree; }},
+        {"prefetch.tableEntries", true,
+         [](SystemConfig &c) { c.prefetch.tableEntries *= 2; }},
+        {"prefetch.regionShift", true,
+         [](SystemConfig &c) { ++c.prefetch.regionShift; }},
+        {"prefetch.minConfidence", true,
+         [](SystemConfig &c) { ++c.prefetch.minConfidence; }},
+        {"xbar.numBanks", false, [](SystemConfig &c) { ++c.xbar.numBanks; }},
+        {"xbar.linkLatency", false,
+         [](SystemConfig &c) { ++c.xbar.linkLatency; }},
+        {"xbar.bankOccupancy", false,
+         [](SystemConfig &c) { ++c.xbar.bankOccupancy; }},
+        {"xbar.mshrPerBank", false,
+         [](SystemConfig &c) { ++c.xbar.mshrPerBank; }},
+        {"memory.numChannels", false,
+         [](SystemConfig &c) { ++c.memory.numChannels; }},
+        {"memory.dram.numBanks", false,
+         [](SystemConfig &c) { ++c.memory.dram.numBanks; }},
+        {"memory.dram.pageBytes", false,
+         [](SystemConfig &c) { c.memory.dram.pageBytes *= 2; }},
+        {"memory.dram.rowMissLatency", false,
+         [](SystemConfig &c) { ++c.memory.dram.rowMissLatency; }},
+        {"memory.dram.rowHitLatency", false,
+         [](SystemConfig &c) { ++c.memory.dram.rowHitLatency; }},
+        {"memory.dram.rowConflictExtra", false,
+         [](SystemConfig &c) { ++c.memory.dram.rowConflictExtra; }},
+        {"memory.dram.busCyclesPerLine", false,
+         [](SystemConfig &c) { ++c.memory.dram.busCyclesPerLine; }},
+        {"memory.dram.bankOccupancy", false,
+         [](SystemConfig &c) { ++c.memory.dram.bankOccupancy; }},
+        {"llcKind", false, [](SystemConfig &c) { c.llcKind = LlcKind::Ncid; }},
+        {"conv.capacityBytes", false,
+         [](SystemConfig &c) { c.conv.capacityBytes *= 2; }},
+        {"conv.ways", false, [](SystemConfig &c) { ++c.conv.ways; }},
+        {"conv.repl", false, [](SystemConfig &c) { c.conv.repl = ReplKind::Ship; }},
+        {"conv.numCores", false, [](SystemConfig &c) { ++c.conv.numCores; }},
+        {"conv.tagLatency", false,
+         [](SystemConfig &c) { ++c.conv.tagLatency; }},
+        {"conv.dataLatency", false,
+         [](SystemConfig &c) { ++c.conv.dataLatency; }},
+        {"conv.interventionLatency", false,
+         [](SystemConfig &c) { ++c.conv.interventionLatency; }},
+        {"conv.seed", false, [](SystemConfig &c) { ++c.conv.seed; }},
+        {"conv.name", false, [](SystemConfig &c) { c.conv.name += "'"; }},
+        {"reuse.tagEquivBytes", false,
+         [](SystemConfig &c) { c.reuse.tagEquivBytes *= 2; }},
+        {"reuse.tagWays", false, [](SystemConfig &c) { ++c.reuse.tagWays; }},
+        {"reuse.dataBytes", false,
+         [](SystemConfig &c) { c.reuse.dataBytes *= 2; }},
+        {"reuse.dataWays", false, [](SystemConfig &c) { ++c.reuse.dataWays; }},
+        {"reuse.tagRepl", false,
+         [](SystemConfig &c) { c.reuse.tagRepl = ReplKind::LRU; }},
+        {"reuse.dataRepl", false,
+         [](SystemConfig &c) { c.reuse.dataRepl = ReplKind::LRU; }},
+        {"reuse.numCores", false, [](SystemConfig &c) { ++c.reuse.numCores; }},
+        {"reuse.tagLatency", false,
+         [](SystemConfig &c) { ++c.reuse.tagLatency; }},
+        {"reuse.dataLatency", false,
+         [](SystemConfig &c) { ++c.reuse.dataLatency; }},
+        {"reuse.interventionLatency", false,
+         [](SystemConfig &c) { ++c.reuse.interventionLatency; }},
+        {"reuse.seed", false, [](SystemConfig &c) { ++c.reuse.seed; }},
+        {"reuse.name", false, [](SystemConfig &c) { c.reuse.name += "'"; }},
+        {"reuse.usePredictor", false,
+         [](SystemConfig &c) { c.reuse.usePredictor = !c.reuse.usePredictor; }},
+        {"reuse.predictorEntries", false,
+         [](SystemConfig &c) { c.reuse.predictorEntries *= 2; }},
+        {"ncid.tagEquivBytes", false,
+         [](SystemConfig &c) { c.ncid.tagEquivBytes *= 2; }},
+        {"ncid.tagWays", false, [](SystemConfig &c) { ++c.ncid.tagWays; }},
+        {"ncid.dataBytes", false,
+         [](SystemConfig &c) { c.ncid.dataBytes *= 2; }},
+        {"ncid.numCores", false, [](SystemConfig &c) { ++c.ncid.numCores; }},
+        {"ncid.tagLatency", false,
+         [](SystemConfig &c) { ++c.ncid.tagLatency; }},
+        {"ncid.dataLatency", false,
+         [](SystemConfig &c) { ++c.ncid.dataLatency; }},
+        {"ncid.interventionLatency", false,
+         [](SystemConfig &c) { ++c.ncid.interventionLatency; }},
+        {"ncid.selectiveFillRate", false,
+         [](SystemConfig &c) { c.ncid.selectiveFillRate *= 2; }},
+        {"ncid.seed", false, [](SystemConfig &c) { ++c.ncid.seed; }},
+        {"ncid.name", false, [](SystemConfig &c) { c.ncid.name += "'"; }},
+        {"seed", true, [](SystemConfig &c) { ++c.seed; }},
+        {"capacityScale", true, [](SystemConfig &c) { c.capacityScale *= 2; }},
+    };
+
+    SystemConfig base = conventionalSystem(8.0, ReplKind::LRU, kScale);
+    base.seed = kSeed;
+    const auto request = [](const SystemConfig &cfg) {
+        svc::RunRequest req;
+        req.config = cfg;
+        req.mix = testMix();
+        req.seed = kSeed;
+        req.scale = kScale;
+        req.warmup = kWarmup;
+        req.measure = kMeasure;
+        return req;
+    };
+    const std::uint64_t baseDigest = svc::requestDigest(request(base));
+    const FeedKey baseKey =
+        feedKeyOf(base, testMix(), kSeed, kScale, kWarmup, kMeasure);
+    for (const Field &field : fields) {
+        SystemConfig cfg = base;
+        field.perturb(cfg);
+        EXPECT_NE(svc::requestDigest(request(cfg)), baseDigest)
+            << field.name << " must key the result cache";
+        const FeedKey key =
+            feedKeyOf(cfg, testMix(), kSeed, kScale, kWarmup, kMeasure);
+        EXPECT_EQ(key.bytes != baseKey.bytes, field.front)
+            << field.name << (field.front ? " must" : " must not")
+            << " key the feed";
+        EXPECT_EQ(key.digest != baseKey.digest, field.front) << field.name;
+        EXPECT_EQ(FanoutCmp::samePrivatePrefix(base, cfg), !field.front)
+            << field.name << (field.front ? " must" : " must not")
+            << " split a fan-out group";
+    }
+}
+
 // ---------------------------------------------------------------------
 // Corruption demotion matrix
 // ---------------------------------------------------------------------
@@ -390,6 +531,46 @@ TEST(FeedCacheTest, InjectorRejectsNonFeedClassesAndMissingBlobs)
         ASSERT_TRUE(faultClassFromName(toString(cls), parsed));
         EXPECT_EQ(parsed, cls);
     }
+}
+
+TEST(FeedCacheTest, RecoveryAdoptsAnUnindexedBlobThatThenHits)
+{
+    const std::string dir = scratchDir("rc-feed-recover");
+    removeTree(dir);
+    std::vector<SystemConfig> cfgs;
+    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
+    cfgs.front().seed = kSeed;
+    constexpr Cycle kW = 20'000, kM = 60'000;
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    {
+        FeedCache fc(dir);
+        FanoutCmp cold(cfgs, mixFactory(), nullptr, /*capture=*/true);
+        runWindow(cold, kW, kM);
+        fc.store(key, cold.sharedFeed());
+        ASSERT_EQ(fc.size(), 1u);
+    }
+    // Emulate kill -9 after the blob's rename but before its index
+    // append, with a killed writer's staging file left behind.
+    const std::string stale = dir + "/feed-0123456789abcdef.bin.4242.0.tmp";
+    {
+        std::FILE *f = std::fopen((dir + "/feed.index").c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("# rc feed cache index v1\n", f);
+        std::fclose(f);
+        f = std::fopen(stale.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs("half a write", f);
+        std::fclose(f);
+    }
+
+    FeedCache fc(dir);
+    EXPECT_EQ(fc.stats().recovered, 1u);
+    EXPECT_EQ(fc.size(), 1u);
+    EXPECT_NE(fc.lookup(key), nullptr) << "the adopted blob must hit";
+    EXPECT_EQ(fc.stats().hits, 1u);
+    EXPECT_NE(::access(stale.c_str(), F_OK), 0) << "stale tmp not swept";
+    removeTree(dir);
 }
 
 // ---------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "workloads/app_profile.hh"
 #include "workloads/generator.hh"
+#include "workloads/mixes.hh"
 
 namespace rc
 {
@@ -202,6 +205,52 @@ TEST(Generator, AddressesFitPhysicalSpace)
     SyntheticStream s(simpleApp(), 7, 42, 1, 8);
     for (int i = 0; i < 50000; ++i)
         EXPECT_LT(s.next().addr, Addr{1} << physAddrBits);
+}
+
+TEST(Generator, EnvironmentCannotReshapeAWorkload)
+{
+    // No cache key covers the environment, so no variable may change a
+    // profile or a stream; these three once did.
+    const auto profile = [] {
+        return makeSpecAnalog("probe", 30.0, 20.0, 5.0, MissStyle::Chase);
+    };
+    const auto refs = [] {
+        std::vector<MemRef> out;
+        const auto streams = buildMixStreams(exampleMix(), 42, 8);
+        for (int i = 0; i < 100'000; ++i)
+            out.push_back(streams.front()->next());
+        return out;
+    };
+    const AppProfile before = profile();
+    const std::vector<MemRef> beforeRefs = refs();
+    ::setenv("RC_PHASE_REFS", "1000", 1);
+    ::setenv("RC_ZR_MULT", "3", 1);
+    ::setenv("RC_ZS_ADD", "0.5", 1);
+    const AppProfile after = profile();
+    const std::vector<MemRef> afterRefs = refs();
+    ::unsetenv("RC_PHASE_REFS");
+    ::unsetenv("RC_ZR_MULT");
+    ::unsetenv("RC_ZS_ADD");
+
+    ASSERT_EQ(after.components.size(), before.components.size());
+    for (std::size_t i = 0; i < before.components.size(); ++i) {
+        const Component &a = before.components[i], &b = after.components[i];
+        EXPECT_EQ(a.pattern, b.pattern) << i;
+        EXPECT_EQ(a.weight, b.weight) << i;
+        EXPECT_EQ(a.regionBytes, b.regionBytes) << i;
+        EXPECT_EQ(a.zipfS, b.zipfS) << i;
+        EXPECT_EQ(a.burstLines, b.burstLines) << i;
+        EXPECT_EQ(a.shared, b.shared) << i;
+        EXPECT_EQ(a.sharedId, b.sharedId) << i;
+    }
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < beforeRefs.size(); ++i) {
+        const MemRef &a = beforeRefs[i], &b = afterRefs[i];
+        if (a.addr != b.addr || a.op != b.op || a.think != b.think ||
+            a.isInstr != b.isInstr || a.pc != b.pc)
+            ++differing;
+    }
+    EXPECT_EQ(differing, 0u);
 }
 
 TEST(Generator, Label)
