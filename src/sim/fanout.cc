@@ -318,10 +318,10 @@ namespace
 
 /** Newest snapshot at or before @p idx: the live deque wins when it
  *  has one (its entries all follow the blob's), else the blob's
- *  vector is binary-searched.  Returns {snapIdx, image}; the image
- *  pointer is null when neither side has an anchor. */
+ *  vector is binary-searched.  Returns {snapIdx, image}; the image is
+ *  empty when neither side has an anchor. */
 template <typename LiveSnap>
-std::pair<std::uint64_t, const std::vector<std::uint8_t> *>
+std::pair<std::uint64_t, std::span<const std::uint8_t>>
 newestSnapAtOrBefore(const std::deque<LiveSnap> &live,
                      const std::vector<FeedBlob::Snap> *flat,
                      std::uint64_t idx)
@@ -333,7 +333,7 @@ newestSnapAtOrBefore(const std::deque<LiveSnap> &live,
         anchor = &snap;
     }
     if (anchor)
-        return {anchor->idx, &anchor->image};
+        return {anchor->idx, anchor->image};
     if (flat && !flat->empty()) {
         // First blob snap past idx, then step back one.
         auto it = std::upper_bound(
@@ -343,10 +343,10 @@ newestSnapAtOrBefore(const std::deque<LiveSnap> &live,
             });
         if (it != flat->begin()) {
             --it;
-            return {it->idx, &it->image};
+            return {it->idx, it->image};
         }
     }
-    return {0, nullptr};
+    return {0, {}};
 }
 
 } // namespace
@@ -362,11 +362,11 @@ FanoutFeed::materializeHier(CoreId core, std::uint64_t idx,
               static_cast<unsigned long long>(pc.generated));
     const auto [anchorIdx, image] = newestSnapAtOrBefore(
         pc.hsnaps, blob ? &blob->core(core).hierSnaps : nullptr, idx);
-    RC_ASSERT(image,
+    RC_ASSERT(!image.empty(),
               "no hierarchy snapshot at or before record %llu of core %u",
               static_cast<unsigned long long>(idx), core);
     {
-        Deserializer d(*image);
+        Deserializer d(image);
         d.beginSection("hier");
         hier.restore(d);
         d.endSection();
@@ -396,7 +396,7 @@ FanoutFeed::saveStreamAt(CoreId core, std::uint64_t idx,
     const PerCore &pc = per[core];
     const auto [anchorIdx, image] = newestSnapAtOrBefore(
         pc.snaps, blob ? &blob->core(core).streamSnaps : nullptr, idx);
-    RC_ASSERT(image,
+    RC_ASSERT(!image.empty(),
               "no stream snapshot at or before record %llu of core %u",
               static_cast<unsigned long long>(idx), core);
 
@@ -404,7 +404,7 @@ FanoutFeed::saveStreamAt(CoreId core, std::uint64_t idx,
     RC_ASSERT(core < fresh.size(), "stream factory shrank");
     RefStream &stream = *fresh[core];
     {
-        Deserializer d(*image);
+        Deserializer d(image);
         d.beginSection("stream");
         stream.restore(d);
         d.endSection();

@@ -26,7 +26,8 @@ namespace
 {
 
 constexpr char kMagic[8] = {'R', 'C', 'F', 'E', 'E', 'D', '1', '\0'};
-constexpr std::uint32_t kFeedVersion = 1;
+// v2: the arrays hash became multi-lane (FeedHasher).
+constexpr std::uint32_t kFeedVersion = 2;
 //! Fixed header: magic, version, record size, file size, arrays
 //! off/len/hash, meta off/len, endian tag, CRC32 of the preceding 68.
 constexpr std::uint64_t kHeaderBytes = 72;
@@ -86,33 +87,64 @@ ld64(const std::uint8_t *p)
 }
 
 /** Streaming form of feedHash64; every update must be word-granular
- *  (the blob layout only ever produces multiple-of-8 spans). */
+ *  (the blob layout only ever produces multiple-of-8 spans).  A word's
+ *  lane is its index in the whole stream mod kFeedHashLanes, so the
+ *  value does not depend on how the stream was split into updates. */
 struct FeedHasher
 {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    static constexpr std::size_t L = kFeedHashLanes;
+
+    std::uint64_t lane[L];
     std::uint64_t total = 0;
+
+    FeedHasher()
+    {
+        for (std::size_t j = 0; j < L; ++j)
+            lane[j] = 0x9e3779b97f4a7c15ull * (j + 1);
+    }
+
+    /** One link of a lane's chain; a bijection of acc for fixed w. */
+    static std::uint64_t step(std::uint64_t acc, const std::uint8_t *p)
+    {
+        std::uint64_t w;
+        std::memcpy(&w, p, 8);
+        acc ^= w;
+        acc *= 0xff51afd7ed558ccdull;
+        return acc ^ (acc >> 33);
+    }
 
     void words(const void *data, std::size_t len)
     {
         RC_ASSERT((len & 7) == 0, "feed hash spans must be word-granular");
         const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
-        std::uint64_t acc = h;
-        for (std::size_t i = 0; i < len; i += 8) {
-            std::uint64_t w;
-            std::memcpy(&w, p + i, 8);
-            acc ^= w;
-            acc *= 0xff51afd7ed558ccdull;
-            acc ^= acc >> 33;
-        }
-        h = acc;
+        std::size_t n = len / 8;
+        std::size_t j = (total / 8) % L;
         total += len;
+        // Finish the block an earlier update left open...
+        for (; n != 0 && j != 0; --n, p += 8, j = (j + 1) % L)
+            lane[j] = step(lane[j], p);
+        // ...then whole blocks, one word per lane...
+        std::uint64_t acc[L];
+        std::copy(lane, lane + L, acc);
+        for (; n >= L; n -= L, p += 8 * L)
+            for (std::size_t k = 0; k < L; ++k)
+                acc[k] = step(acc[k], p + 8 * k);
+        std::copy(acc, acc + L, lane);
+        // ...and open the next one.
+        for (std::size_t k = 0; k < n; ++k)
+            lane[k] = step(lane[k], p + 8 * k);
     }
 
     std::uint64_t done() const
     {
-        std::uint64_t x = h ^ (total * 0x100000001b3ull);
-        x *= 0xc4ceb9fe1a85ec53ull;
-        x ^= x >> 29;
+        // Each fold is a bijection of the lane folded in, so a change
+        // confined to one lane always reaches the result.
+        std::uint64_t x = total * 0x100000001b3ull;
+        for (std::size_t j = 0; j < L; ++j) {
+            x ^= lane[j];
+            x *= 0xc4ceb9fe1a85ec53ull;
+            x ^= x >> 29;
+        }
         return x;
     }
 };
@@ -292,13 +324,13 @@ FeedBlob::open(const std::string &path)
                       path.c_str());
 
     // The meta region is a complete snapshot container with its own
-    // CRC; the Deserializer constructor validates it up front.
-    Deserializer d(std::vector<std::uint8_t>(h + metaOff,
-                                             h + metaOff + metaBytes));
+    // CRC; the Deserializer validates it in place, and the key, labels
+    // and snapshot images are read out of the mapping.
+    Deserializer d(std::span<const std::uint8_t>(h + metaOff, metaBytes));
     d.beginSection("feedmeta");
     blob->keyDigest = d.getU64();
     {
-        const std::string key = d.getString();
+        const std::span<const std::uint8_t> key = d.getStringBytes();
         blob->key.assign(key.begin(), key.end());
     }
     const std::uint32_t cores = d.getU32();
@@ -350,8 +382,7 @@ FeedBlob::open(const std::string &path)
             out.resize(static_cast<std::size_t>(n));
             for (Snap &snap : out) {
                 snap.idx = d.getU64();
-                const std::string image = d.getString();
-                snap.image.assign(image.begin(), image.end());
+                snap.image = d.getStringBytes();
             }
         };
         loadSnaps(view.streamSnaps);

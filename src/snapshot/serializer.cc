@@ -1,5 +1,7 @@
 #include "snapshot/serializer.hh"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -19,25 +21,47 @@ constexpr std::uint32_t snapVersion = 2;
 constexpr std::size_t headerBytes = sizeof(snapMagic) + 4;
 constexpr std::size_t trailerBytes = 4;
 
+/** Slicing-by-8 tables: kCrcTables[0] is the bytewise table, and
+ *  kCrcTables[k][b] is the CRC of byte b followed by k zero bytes. */
+constexpr auto kCrcTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
+}();
+
 } // namespace
 
 std::uint32_t
 crc32(const void *data, std::size_t len, std::uint32_t crc)
 {
-    static const auto table = [] {
-        std::vector<std::uint32_t> t(256);
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
+    const auto &t = kCrcTables;
     const auto *p = static_cast<const std::uint8_t *>(data);
     crc = ~crc;
-    for (std::size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+    if constexpr (std::endian::native == std::endian::little) {
+        // Fold 8 bytes per step: the low word is XORed with the running
+        // CRC, and each byte's table is the one for its distance from
+        // the end of the step.
+        for (; len >= 8; p += 8, len -= 8) {
+            std::uint32_t lo, hi;
+            std::memcpy(&lo, p, 4);
+            std::memcpy(&hi, p + 4, 4);
+            lo ^= crc;
+            crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+                  t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+                  t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+                  t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+        }
+    }
+    for (; len != 0; ++p, --len)
+        crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
     return ~crc;
 }
 
@@ -171,55 +195,60 @@ Deserializer::Deserializer(const std::string &path) : origin(path)
     if (got != bytes.size())
         throwSimError(SimError::Kind::Snapshot,
                       "short read loading snapshot '%s'", path.c_str());
-    buf = std::move(bytes);
-    validate();
+    own = std::move(bytes);
+    validate(own);
 }
 
 Deserializer::Deserializer(std::vector<std::uint8_t> image_bytes)
-    : origin("<memory>"), buf(std::move(image_bytes))
+    : origin("<memory>"), own(std::move(image_bytes))
 {
-    validate();
+    validate(own);
+}
+
+Deserializer::Deserializer(std::span<const std::uint8_t> image)
+    : origin("<memory>")
+{
+    validate(image);
 }
 
 void
-Deserializer::validate()
+Deserializer::validate(std::span<const std::uint8_t> image)
 {
-    // Strip and verify header/trailer; `buf` keeps the payload only.
-    if (buf.size() < headerBytes + trailerBytes)
+    // Verify header/trailer; `buf` then spans the payload only.
+    if (image.size() < headerBytes + trailerBytes)
         throwSimError(SimError::Kind::Snapshot,
                       "snapshot '%s' is truncated: %zu byte(s), need at "
-                      "least %zu", origin.c_str(), buf.size(),
+                      "least %zu", origin.c_str(), image.size(),
                       headerBytes + trailerBytes);
-    if (std::memcmp(buf.data(), snapMagic, sizeof(snapMagic)) != 0)
+    if (std::memcmp(image.data(), snapMagic, sizeof(snapMagic)) != 0)
         throwSimError(SimError::Kind::Snapshot,
                       "'%s' is not a reuse-cache snapshot (bad magic)",
                       origin.c_str());
     std::uint32_t version = 0;
     for (int i = 0; i < 4; ++i)
-        version |= std::uint32_t{buf[sizeof(snapMagic) + i]} << (8 * i);
+        version |= std::uint32_t{image[sizeof(snapMagic) + i]} << (8 * i);
     if (version != snapVersion)
         throwSimError(SimError::Kind::Snapshot,
                       "snapshot '%s' has unsupported schema version %u "
                       "(expected %u)", origin.c_str(), version, snapVersion);
-    const std::size_t payloadEnd = buf.size() - trailerBytes;
+    const std::size_t payloadEnd = image.size() - trailerBytes;
     std::uint32_t stored = 0;
     for (int i = 0; i < 4; ++i)
-        stored |= std::uint32_t{buf[payloadEnd + i]} << (8 * i);
-    crc = crc32(buf.data() + headerBytes, payloadEnd - headerBytes);
+        stored |= std::uint32_t{image[payloadEnd + i]} << (8 * i);
+    crc = crc32(image.data() + headerBytes, payloadEnd - headerBytes);
     if (stored != crc)
         throwSimError(SimError::Kind::Snapshot,
                       "snapshot '%s' failed its CRC check "
                       "(stored %08x, computed %08x)",
                       origin.c_str(), stored, crc);
-    buf.erase(buf.begin() + payloadEnd, buf.end());
-    buf.erase(buf.begin(), buf.begin() + headerBytes);
+    buf = image.subspan(headerBytes, payloadEnd - headerBytes);
 }
 
 const std::uint8_t *
 Deserializer::need(std::size_t len, const char *what)
 {
     const std::size_t bound = bounds.empty() ? buf.size() : bounds.back();
-    if (cur + len > bound)
+    if (len > bound - cur)
         throwSimError(SimError::Kind::Snapshot,
                       "snapshot '%s': reading %s (%zu byte(s)) would cross "
                       "a section boundary at offset %zu",
@@ -301,9 +330,16 @@ Deserializer::getDouble()
 std::string
 Deserializer::getString()
 {
+    const std::span<const std::uint8_t> bytes = getStringBytes();
+    return std::string(reinterpret_cast<const char *>(bytes.data()),
+                       bytes.size());
+}
+
+std::span<const std::uint8_t>
+Deserializer::getStringBytes()
+{
     const std::uint64_t len = getU64();
-    const std::uint8_t *p = need(len, "string payload");
-    return std::string(reinterpret_cast<const char *>(p), len);
+    return {need(len, "string payload"), static_cast<std::size_t>(len)};
 }
 
 void

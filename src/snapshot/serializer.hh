@@ -26,13 +26,16 @@
 #define RC_SNAPSHOT_SERIALIZER_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace rc
 {
 
-/** CRC-32 (IEEE 802.3) of @p len bytes, chainable via @p crc. */
+/** CRC-32 (IEEE 802.3) of @p len bytes, chainable via @p crc.  Slices
+ *  8 bytes per step on little-endian hosts, bytewise elsewhere; the
+ *  value is the same either way. */
 std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t crc = 0);
 
@@ -99,6 +102,16 @@ class Deserializer
     /** Validate an in-memory image (tests, in-process round trips). */
     explicit Deserializer(std::vector<std::uint8_t> image_bytes);
 
+    /**
+     * Validate @p image in place, copying nothing.  The caller keeps
+     * the bytes alive and unchanged for this reader's whole life (a
+     * mapped feed blob, a snapshot the caller owns).
+     */
+    explicit Deserializer(std::span<const std::uint8_t> image);
+
+    Deserializer(const Deserializer &) = delete;
+    Deserializer &operator=(const Deserializer &) = delete;
+
     /** Enter a section; throws if the next section is not @p name. */
     void beginSection(const char *name);
 
@@ -115,17 +128,21 @@ class Deserializer
     std::int64_t getI64() { return static_cast<std::int64_t>(getU64()); }
     double getDouble();
     std::string getString();
+    /** The next putString() payload in place, valid while the image
+     *  bytes are; copies nothing. */
+    std::span<const std::uint8_t> getStringBytes();
     void getBytes(void *out, std::size_t len);
 
     /** CRC32 of the payload (matches Serializer::payloadCrc()). */
     std::uint32_t payloadCrc() const { return crc; }
 
   private:
-    void validate();
+    void validate(std::span<const std::uint8_t> image);
     const std::uint8_t *need(std::size_t len, const char *what);
 
     std::string origin;             //!< path or "<memory>", for messages
-    std::vector<std::uint8_t> buf;  //!< payload only
+    std::vector<std::uint8_t> own;  //!< the image, when this reader owns it
+    std::span<const std::uint8_t> buf;  //!< payload only
     std::size_t cur = 0;
     std::vector<std::size_t> bounds;  //!< end offsets of open sections
     std::uint32_t crc = 0;

@@ -6,14 +6,17 @@
  * reached (same stats, same cycle count, same mid-run checkpoint
  * bytes); the canonical key must be sensitive to everything that shapes
  * the front end and insensitive to SLLC-only config changes; a corrupt
- * blob of every feed FaultClass must demote to a verified recompute and
- * be unlinked; and two processes racing one cold key through the flock
- * lease must end with one blob and identical results.
+ * blob of every feed FaultClass, a byte flipped in any arrays-hash lane
+ * or in the meta region, and a blob of the previous format version must
+ * each demote to a verified recompute and be unlinked; and two processes
+ * racing one cold key through the flock lease must end with one blob
+ * and identical results.
  */
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <cstdio>
@@ -513,6 +516,160 @@ TEST(FeedCacheTest, CorruptBlobDemotesToVerifiedRecompute)
             << "recompute should have re-stored the blob";
         removeTree(dir);
     }
+}
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return bytes;
+    std::uint8_t buf[1 << 16];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        bytes.insert(bytes.end(), buf, buf + n);
+    std::fclose(f);
+    return bytes;
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+}
+
+/** Little-endian header field at @p off (layout: sim/feed_cache.hh). */
+std::uint64_t
+headerField(const std::vector<std::uint8_t> &blob, std::size_t off,
+            int bytes = 8)
+{
+    std::uint64_t v = 0;
+    for (int i = bytes - 1; i >= 0; --i)
+        v = v << 8 | blob[off + i];
+    return v;
+}
+
+// Fixed-header offsets: format version, arrays region offset/length,
+// meta region offset/length, and the header CRC over the bytes before it.
+constexpr std::size_t kHdrVersion = 8, kHdrArraysOff = 24,
+                      kHdrArraysBytes = 32, kHdrMetaOff = 48,
+                      kHdrMetaBytes = 56, kHdrCrc = 68;
+
+TEST(FeedCacheTest, EveryHashLaneAndTheMetaRegionAreVerified)
+{
+    std::vector<SystemConfig> cfgs;
+    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
+    cfgs.front().seed = kSeed;
+    constexpr Cycle kW = 20'000, kM = 60'000;
+    const std::string dir = scratchDir("rc-feed-lanes");
+    removeTree(dir);
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    std::string path;
+    {
+        FeedCache fc(dir);
+        FanoutCmp cold(cfgs, mixFactory(), nullptr, /*capture=*/true);
+        runWindow(cold, kW, kM);
+        fc.store(key, cold.sharedFeed());
+        path = fc.blobPath(key.digest);
+    }
+    const std::vector<std::uint8_t> pristine = readBytes(path);
+    ASSERT_GT(pristine.size(), kHdrCrc);
+    const std::uint64_t arraysOff = headerField(pristine, kHdrArraysOff);
+    const std::uint64_t arraysBytes = headerField(pristine, kHdrArraysBytes);
+    const std::uint64_t metaOff = headerField(pristine, kHdrMetaOff);
+    const std::uint64_t metaBytes = headerField(pristine, kHdrMetaBytes);
+    ASSERT_EQ(arraysBytes % 8, 0u);
+    const std::uint64_t words = arraysBytes / 8;
+    ASSERT_GT(words, 2 * kFeedHashLanes);
+    ASSERT_LE(metaOff + metaBytes, pristine.size());
+
+    // One byte in each of the first kFeedHashLanes words (one per lane,
+    // at a different position in each), the middle word, the last word,
+    // and the meta region.
+    std::vector<std::pair<std::string, std::uint64_t>> flips;
+    for (std::size_t k = 0; k < kFeedHashLanes; ++k)
+        flips.emplace_back("arrays word " + std::to_string(k),
+                           arraysOff + 8 * k + k % 8);
+    flips.emplace_back("middle arrays word",
+                       arraysOff + 8 * (words / 2) + 3);
+    flips.emplace_back("last arrays word", arraysOff + arraysBytes - 1);
+    flips.emplace_back("meta region", metaOff + metaBytes / 2);
+
+    {
+        // The untouched bytes hit, so each miss below is its flip's.
+        writeBytes(path, pristine);
+        FeedCache fc(dir);
+        EXPECT_NE(fc.lookup(key), nullptr);
+    }
+    for (const auto &[what, at] : flips) {
+        SCOPED_TRACE(what);
+        std::vector<std::uint8_t> bytes = pristine;
+        bytes[at] ^= 0x10;
+        writeBytes(path, bytes);
+        FeedCache fc(dir); // adopts the rewritten blob
+        ASSERT_EQ(fc.size(), 1u);
+        EXPECT_EQ(fc.lookup(key), nullptr);
+        EXPECT_EQ(fc.stats().corruptDropped, 1u);
+        EXPECT_EQ(fc.stats().misses, 1u);
+        EXPECT_NE(::access(path.c_str(), F_OK), 0)
+            << "corrupt blob left on disk";
+    }
+    removeTree(dir);
+}
+
+TEST(FeedCacheTest, VersionOneBlobDropsAndRecomputesBitIdentically)
+{
+    std::vector<SystemConfig> cfgs;
+    cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
+    cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
+    for (SystemConfig &c : cfgs)
+        c.seed = kSeed;
+    constexpr Cycle kW = 20'000, kM = 60'000;
+    const std::string dir = scratchDir("rc-feed-v1");
+    removeTree(dir);
+    const FeedKey key =
+        feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
+    std::string pristine;
+    std::string path;
+    {
+        FeedCache fc(dir);
+        FanoutCmp cold(cfgs, mixFactory(), nullptr, /*capture=*/true);
+        runWindow(cold, kW, kM);
+        fc.store(key, cold.sharedFeed());
+        pristine = fleetFingerprint(cold, cfgs.size());
+        path = fc.blobPath(key.digest);
+    }
+
+    // Reseal the blob as format version 1: only the version check can
+    // reject it now, as it rejects a blob an older build wrote.
+    std::vector<std::uint8_t> bytes = readBytes(path);
+    ASSERT_GT(bytes.size(), kHdrCrc + 4);
+    ASSERT_EQ(headerField(bytes, kHdrVersion, 4), 2u);
+    bytes[kHdrVersion] = 1;
+    const std::uint32_t crc = crc32(bytes.data(), kHdrCrc);
+    for (int i = 0; i < 4; ++i)
+        bytes[kHdrCrc + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    writeBytes(path, bytes);
+
+    {
+        FeedCache fc(dir);
+        EXPECT_EQ(fc.lookup(key), nullptr);
+        EXPECT_EQ(fc.stats().corruptDropped, 1u);
+        EXPECT_NE(::access(path.c_str(), F_OK), 0)
+            << "stale blob left on disk";
+    }
+    bool warm = true;
+    EXPECT_EQ(runViaProtocol(dir, cfgs, kW, kM, &warm), pristine);
+    EXPECT_FALSE(warm) << "the stale blob should not have replayed";
+    FeedCache after(dir);
+    EXPECT_NE(after.lookup(key), nullptr)
+        << "the recompute should have stored a current blob";
+    removeTree(dir);
 }
 
 TEST(FeedCacheTest, InjectorRejectsNonFeedClassesAndMissingBlobs)

@@ -450,7 +450,7 @@ TEST(ServiceLock, ConcurrentProcessAppendersNeverTearRecords)
         const pid_t pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            // Child: append records the way appendIndex does, but split
+            // Child: append records the way appendLocked does, but split
             // each line into several flushed writes so only the lock
             // keeps them contiguous.
             for (int i = 0; i < linesEach; ++i) {

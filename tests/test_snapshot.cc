@@ -10,9 +10,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <dirent.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -118,24 +123,33 @@ TEST(SnapshotFormat, VectorRoundTripAndCountMismatch)
 
 TEST(SnapshotFormat, FileRoundTripIsAtomicAndValid)
 {
-    const std::string path = tempPath("snap_roundtrip.bin");
+    // A directory of its own, so any *.tmp in it is writeFile's.
+    const std::string dir =
+        tempPath("snap_roundtrip-" + std::to_string(::getpid()));
+    ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+    const std::string path = dir + "/snap.bin";
     Serializer s;
     s.beginSection("top");
     s.putU64(99);
     s.endSection("top");
     s.writeFile(path);
 
-    // No .tmp litter after a successful rename.
-    std::FILE *tmp = std::fopen((path + ".tmp").c_str(), "rb");
-    EXPECT_EQ(tmp, nullptr);
-    if (tmp)
-        std::fclose(tmp);
+    // No staging file (`<path>.<pid>.<n>.tmp`) left after the rename.
+    DIR *dp = ::opendir(dir.c_str());
+    ASSERT_NE(dp, nullptr);
+    while (const dirent *e = ::readdir(dp)) {
+        const std::string name = e->d_name;
+        EXPECT_FALSE(name.ends_with(".tmp"))
+            << "staging file left behind: " << name;
+    }
+    ::closedir(dp);
 
     Deserializer d(path);
     d.beginSection("top");
     EXPECT_EQ(d.getU64(), 99u);
     d.endSection("top");
     std::remove(path.c_str());
+    ::rmdir(dir.c_str());
 }
 
 TEST(SnapshotFormat, CorruptImagesAreRejected)
@@ -143,35 +157,85 @@ TEST(SnapshotFormat, CorruptImagesAreRejected)
     Serializer s;
     s.beginSection("top");
     s.putU64(1234);
+    s.putString("label");
     s.endSection("top");
     const std::vector<std::uint8_t> good = s.image();
+
+    // The owning reader and the one over borrowed bytes decode the same
+    // values and agree on the payload CRC.
+    {
+        Deserializer owning(good);
+        Deserializer borrowed{std::span<const std::uint8_t>(good)};
+        EXPECT_EQ(borrowed.payloadCrc(), owning.payloadCrc());
+        EXPECT_EQ(borrowed.payloadCrc(), s.payloadCrc());
+        owning.beginSection("top");
+        borrowed.beginSection("top");
+        EXPECT_EQ(owning.getU64(), 1234u);
+        EXPECT_EQ(borrowed.getU64(), 1234u);
+        EXPECT_EQ(owning.getString(), "label");
+        const std::span<const std::uint8_t> label = borrowed.getStringBytes();
+        EXPECT_EQ(std::string(label.begin(), label.end()), "label");
+        // In place: the view points into the caller's bytes.
+        EXPECT_GE(label.data(), good.data());
+        EXPECT_LT(label.data(), good.data() + good.size());
+        owning.endSection("top");
+        borrowed.endSection("top");
+    }
+
+    // Every defect is rejected by both readers.
+    const auto expectRejected = [](const std::vector<std::uint8_t> &img) {
+        expectSnapshotError([&] { Deserializer d(img); });
+        expectSnapshotError(
+            [&] { Deserializer d{std::span<const std::uint8_t>(img)}; });
+    };
 
     // Bad magic.
     auto badMagic = good;
     badMagic[0] ^= 0xff;
-    expectSnapshotError([&] { Deserializer d(badMagic); });
+    expectRejected(badMagic);
 
     // Unsupported schema version.
     auto badVersion = good;
     badVersion[8] ^= 0xff;
-    expectSnapshotError([&] { Deserializer d(badVersion); });
+    expectRejected(badVersion);
 
     // Payload bit flip breaks the CRC.
     auto badPayload = good;
     badPayload[14] ^= 0x01;
-    expectSnapshotError([&] { Deserializer d(badPayload); });
+    expectRejected(badPayload);
 
     // Trailer bit flip breaks the CRC comparison too.
     auto badCrc = good;
     badCrc[badCrc.size() - 1] ^= 0x01;
-    expectSnapshotError([&] { Deserializer d(badCrc); });
+    expectRejected(badCrc);
 
     // Truncation: shorter than header+trailer, and mid-payload.
-    expectSnapshotError(
-        [&] { Deserializer d(std::vector<std::uint8_t>(8, 0)); });
+    expectRejected(std::vector<std::uint8_t>(8, 0));
     auto truncated = good;
     truncated.resize(truncated.size() - 5);
-    expectSnapshotError([&] { Deserializer d(truncated); });
+    expectRejected(truncated);
+}
+
+TEST(SnapshotFormat, OversizedStringLengthIsRejected)
+{
+    // A CRC-valid image whose string length field runs past the end of
+    // its section (here: wraps the offset) must throw, not read or
+    // allocate past the image.
+    Serializer s;
+    s.beginSection("top");
+    s.putU64(~std::uint64_t{0});
+    s.endSection("top");
+    const std::vector<std::uint8_t> image = s.image();
+    {
+        Deserializer d(image);
+        d.beginSection("top");
+        expectSnapshotError([&] { d.getString(); });
+    }
+    {
+        Deserializer d{std::span<const std::uint8_t>(image)};
+        d.beginSection("top");
+        expectSnapshotError([&] { d.getStringBytes(); });
+    }
 }
 
 TEST(SnapshotFormat, SectionDisciplineIsEnforced)
@@ -199,6 +263,65 @@ TEST(SnapshotFormat, SectionDisciplineIsEnforced)
         d.beginSection("alpha");
         expectSnapshotError([&] { d.endSection("alpha"); });
     }
+}
+
+/** Bytewise CRC-32 straight from the polynomial, sharing nothing with
+ *  the library's tables. */
+std::uint32_t
+crc32Reference(const std::uint8_t *p, std::size_t len, std::uint32_t crc = 0)
+{
+    crc = ~crc;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+std::vector<std::uint8_t>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> v(n);
+    for (std::uint8_t &b : v)
+        b = static_cast<std::uint8_t>(rng.next());
+    return v;
+}
+
+TEST(SnapshotCrc, StandardCheckValue)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotCrc, MatchesBytewiseAtEveryShortLengthAndAlignment)
+{
+    const std::vector<std::uint8_t> buf = randomBytes(64 + 8, 11);
+    for (std::size_t align = 0; align < 8; ++align)
+        for (std::size_t len = 0; len <= 64; ++len)
+            EXPECT_EQ(crc32(buf.data() + align, len),
+                      crc32Reference(buf.data() + align, len))
+                << "offset " << align << ", length " << len;
+}
+
+TEST(SnapshotCrc, MatchesBytewiseOnAMegabyteAndWhenChained)
+{
+    const std::vector<std::uint8_t> buf = randomBytes(1 << 20, 12);
+    const std::uint8_t *p = buf.data();
+    const std::size_t n = buf.size();
+    const std::uint32_t whole = crc32Reference(p, n);
+    EXPECT_EQ(crc32(p, n), whole);
+    // Chaining through the crc argument, split anywhere, is the same
+    // as one call; a nonzero seed matches the reference's.
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{8},
+                                  std::size_t{9}, std::size_t{4093},
+                                  n / 2, n - 1, n})
+        EXPECT_EQ(crc32(p + cut, n - cut, crc32(p, cut)), whole)
+            << "split at " << cut;
+    EXPECT_EQ(crc32(p, 1000, 0xdeadbeefu),
+              crc32Reference(p, 1000, 0xdeadbeefu));
 }
 
 TEST(SnapshotRng, RawStateResumesTheStream)
