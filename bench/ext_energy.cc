@@ -8,6 +8,7 @@
  */
 
 #include <iostream>
+#include <iterator>
 
 #include "common/table.hh"
 #include "harness.hh"
@@ -24,49 +25,49 @@ main(int argc, char **argv)
         "shifts from the big data array to the tag array");
 
     constexpr std::uint64_t MiB = 1ull << 20;
-    const auto mixes = makeMixes(opt.mixCount, 8, 7);
 
-    auto activity = [&](const bench::RunResult &r,
-                        Cycle cycles) -> SllcActivity {
-        SllcActivity a;
-        a.tagProbes = r.llcAccesses;
-        // Approximate data-array activity: everything except the pure
-        // tag misses touches the data array (hit, fill or writeback).
-        a.dataAccesses = r.llcAccesses - r.llcMemFetches / 2;
-        a.windowCycles = cycles;
-        return a;
+    struct Cfg { const char *name; double tag, data; };
+    const Cfg cfgs[] = {{"RC-8/4", 8, 4}, {"RC-8/2", 8, 2},
+                        {"RC-4/1", 4, 1}, {"RC-4/0.5", 4, 0.5}};
+    std::vector<SystemConfig> grid = {bench::baselineFor(opt)};
+    for (const Cfg &cfg : cfgs)
+        grid.push_back(reuseSystem(cfg.tag, cfg.data, 0, opt.scale));
+    const auto res = bench::runConfigsOverMixes(
+        grid, makeMixes(opt.mixCount, 8, 7), opt);
+
+    // SLLC energy of one grid row summed over the mixes.
+    auto rowEnergy = [&](const EnergyEstimate &e,
+                         const std::vector<bench::RunResult> &row) {
+        double total = 0.0;
+        for (const bench::RunResult &r : row) {
+            SllcActivity a;
+            a.tagProbes = r.llcAccesses;
+            // Approximate data-array activity: everything except the
+            // pure tag misses touches the data array (hit, fill or
+            // writeback).
+            a.dataAccesses = r.llcAccesses - r.llcMemFetches / 2;
+            a.windowCycles = opt.measure;
+            total += windowEnergy(e, a);
+        }
+        return total;
     };
 
-    // Baseline energy per mix.
-    const EnergyEstimate conv_e = conventionalEnergy(8 * MiB, 16);
-    double conv_energy = 0.0;
-    for (const Mix &mix : mixes) {
-        const auto r = bench::runMix(bench::baselineFor(opt), mix, opt);
-        conv_energy += windowEnergy(conv_e, activity(r, opt.measure));
-    }
-    std::cout << "  baseline done\n" << std::flush;
+    const double conv_energy =
+        rowEnergy(conventionalEnergy(8 * MiB, 16), res[0]);
+    std::cout << "  baseline done\n";
 
     Table t("SLLC energy relative to conv-8MB-LRU "
             "(same workloads, measured activity)");
     t.header({"config", "leakage (rel)", "total energy (rel)"});
     t.row({"conv-8MB", "1.000", "1.000"});
-
-    struct Cfg { const char *name; double tag, data; };
-    const Cfg cfgs[] = {{"RC-8/4", 8, 4}, {"RC-8/2", 8, 2},
-                        {"RC-4/1", 4, 1}, {"RC-4/0.5", 4, 0.5}};
-    for (const Cfg &cfg : cfgs) {
+    for (std::size_t k = 0; k < std::size(cfgs); ++k) {
+        const Cfg &cfg = cfgs[k];
         const EnergyEstimate e = reuseEnergy(
             static_cast<std::uint64_t>(cfg.tag * MiB), 16,
             static_cast<std::uint64_t>(cfg.data * MiB), 0);
-        double total = 0.0;
-        for (const Mix &mix : mixes) {
-            const auto r = bench::runMix(
-                reuseSystem(cfg.tag, cfg.data, 0, opt.scale), mix, opt);
-            total += windowEnergy(e, activity(r, opt.measure));
-        }
         t.row({cfg.name, fmtDouble(e.leakage),
-               fmtDouble(total / conv_energy)});
-        std::cout << "  " << cfg.name << " done\n" << std::flush;
+               fmtDouble(rowEnergy(e, res[k + 1]) / conv_energy)});
+        std::cout << "  " << cfg.name << " done\n";
     }
     t.print(std::cout);
 

@@ -20,25 +20,29 @@ main(int argc, char **argv)
         "performance varies little with associativity (FA best by <=1%); "
         "RC-8/2 beats baseline by ~2.4%, RC-8/1 slightly below (-0.5%)");
 
-    const auto mixes = makeMixes(opt.mixCount, 8, 7);
-    const auto base =
-        bench::runBaselineOverMixes(bench::baselineFor(opt), mixes, opt);
+    const double dataMbs[] = {4.0, 2.0, 1.0, 0.5};
+    const std::uint32_t wayCounts[] = {16, 32, 64, 128, 0};
+    std::vector<SystemConfig> cfgs = {bench::baselineFor(opt)};
+    for (double data_mb : dataMbs)
+        for (std::uint32_t ways : wayCounts)
+            cfgs.push_back(reuseSystem(8, data_mb, ways, opt.scale));
+    const auto res = bench::runConfigsOverMixes(
+        cfgs, makeMixes(opt.mixCount, 8, 7), opt);
 
     Table t("Average speedup over conv-8MB-LRU");
     t.header({"config", "16-way", "32-way", "64-way", "128-way", "FA"});
-    for (double data_mb : {4.0, 2.0, 1.0, 0.5}) {
+    std::size_t col = 1;
+    for (double data_mb : dataMbs) {
         std::vector<std::string> row;
         char name[32];
         std::snprintf(name, sizeof(name), "RC-8/%g", data_mb);
         row.push_back(name);
-        for (std::uint32_t ways : {16u, 32u, 64u, 128u, 0u}) {
-            const SystemConfig sys =
-                reuseSystem(8, data_mb, ways, opt.scale);
-            const auto s = bench::compareAgainst(sys, mixes, base, opt);
+        for (std::uint32_t ways : wayCounts) {
+            const auto s = bench::speedups(res[col++], res[0]);
             row.push_back(fmtDouble(s.mean));
             std::cout << "  " << name << " "
                       << (ways ? std::to_string(ways) + "-way" : "FA")
-                      << ": " << fmtDouble(s.mean) << "\n" << std::flush;
+                      << ": " << fmtDouble(s.mean) << "\n";
         }
         t.row(std::move(row));
     }

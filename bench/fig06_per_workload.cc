@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "harness.hh"
 
@@ -20,10 +21,6 @@ main(int argc, char **argv)
         "RC-8/4 beats the baseline on 99/100 workloads; RC-4/1 wins on "
         "64/100 with range 0.82..1.14");
 
-    const auto mixes = makeMixes(opt.mixCount, 8, 7);
-    const auto base =
-        bench::runBaselineOverMixes(bench::baselineFor(opt), mixes, opt);
-
     struct Cfg
     {
         const char *name;
@@ -34,10 +31,15 @@ main(int argc, char **argv)
         {"RC-4/0.5", 4, 0.5},
     };
 
-    for (const Cfg &cfg : cfgs) {
-        auto s = bench::compareAgainst(
-            reuseSystem(cfg.tag, cfg.data, 0, opt.scale), mixes, base,
-            opt);
+    std::vector<SystemConfig> grid = {bench::baselineFor(opt)};
+    for (const Cfg &cfg : cfgs)
+        grid.push_back(reuseSystem(cfg.tag, cfg.data, 0, opt.scale));
+    const auto res = bench::runConfigsOverMixes(
+        grid, makeMixes(opt.mixCount, 8, 7), opt);
+
+    for (std::size_t k = 0; k < std::size(cfgs); ++k) {
+        const Cfg &cfg = cfgs[k];
+        auto s = bench::speedups(res[k + 1], res[0]);
         std::sort(s.perMix.begin(), s.perMix.end());
         std::uint32_t wins = 0;
         for (double v : s.perMix)
@@ -51,7 +53,6 @@ main(int argc, char **argv)
             std::printf("%.3f%s", s.perMix[i],
                         (i + 1) % 10 == 0 ? "\n                 " : " ");
         std::printf("\n");
-        std::fflush(stdout);
     }
     return 0;
 }

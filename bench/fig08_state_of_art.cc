@@ -22,12 +22,6 @@ main(int argc, char **argv)
         "matches DRRIP-4MB at 80% less storage");
 
     constexpr std::uint64_t MiB = 1ull << 20;
-    const auto mixes = makeMixes(opt.mixCount, 8, 7);
-    const auto base =
-        bench::runBaselineOverMixes(bench::baselineFor(opt), mixes, opt);
-
-    Table t("Speedup over conv-8MB-LRU and hardware storage");
-    t.header({"config", "speedup", "storage (Kbits)", "paper speedup"});
 
     struct ConvCfg
     {
@@ -44,19 +38,6 @@ main(int argc, char **argv)
         {"DRRIP-4MB", 4, ReplKind::DRRIP, 0.974},
         {"NRR-4MB", 4, ReplKind::NRR, 0.975},
     };
-    for (const ConvCfg &c : convs) {
-        const auto s = bench::compareAgainst(
-            conventionalSystem(c.mb, c.repl, opt.scale), mixes, base, opt);
-        const double kbits = conventionalCost(
-            static_cast<std::uint64_t>(c.mb * MiB), 16, 8,
-            c.repl).totalKbits();
-        t.row({c.name, fmtDouble(s.mean),
-               fmtInt(static_cast<std::uint64_t>(kbits)),
-               fmtDouble(c.paper)});
-        std::cout << "  " << c.name << ": " << fmtDouble(s.mean) << "\n"
-                  << std::flush;
-    }
-
     struct RcCfg
     {
         const char *name;
@@ -70,17 +51,37 @@ main(int argc, char **argv)
         {"RC-4/1", 4, 1, 1.004},
         {"RC-4/0.5", 4, 0.5, 0.974},
     };
+
+    std::vector<SystemConfig> cfgs = {bench::baselineFor(opt)};
+    for (const ConvCfg &c : convs)
+        cfgs.push_back(conventionalSystem(c.mb, c.repl, opt.scale));
+    for (const RcCfg &c : rcs)
+        cfgs.push_back(reuseSystem(c.tag, c.data, 0, opt.scale));
+    const auto res = bench::runConfigsOverMixes(
+        cfgs, makeMixes(opt.mixCount, 8, 7), opt);
+    std::size_t col = 1;
+
+    Table t("Speedup over conv-8MB-LRU and hardware storage");
+    t.header({"config", "speedup", "storage (Kbits)", "paper speedup"});
+    for (const ConvCfg &c : convs) {
+        const auto s = bench::speedups(res[col++], res[0]);
+        const double kbits = conventionalCost(
+            static_cast<std::uint64_t>(c.mb * MiB), 16, 8,
+            c.repl).totalKbits();
+        t.row({c.name, fmtDouble(s.mean),
+               fmtInt(static_cast<std::uint64_t>(kbits)),
+               fmtDouble(c.paper)});
+        std::cout << "  " << c.name << ": " << fmtDouble(s.mean) << "\n";
+    }
     for (const RcCfg &c : rcs) {
-        const auto s = bench::compareAgainst(
-            reuseSystem(c.tag, c.data, 0, opt.scale), mixes, base, opt);
+        const auto s = bench::speedups(res[col++], res[0]);
         const double kbits = reuseCost(
             static_cast<std::uint64_t>(c.tag * MiB), 16,
             static_cast<std::uint64_t>(c.data * MiB), 0).totalKbits();
         t.row({c.name, fmtDouble(s.mean),
                fmtInt(static_cast<std::uint64_t>(kbits)),
                fmtDouble(c.paper)});
-        std::cout << "  " << c.name << ": " << fmtDouble(s.mean) << "\n"
-                  << std::flush;
+        std::cout << "  " << c.name << ": " << fmtDouble(s.mean) << "\n";
     }
     t.print(std::cout);
 

@@ -6,6 +6,7 @@
  */
 
 #include <iostream>
+#include <iterator>
 #include <map>
 
 #include "common/stats.hh"
@@ -31,32 +32,29 @@ main(int argc, char **argv)
 
     const auto mixes = makeMixes(opt.mixCount, 8, 7);
 
-    // Baseline per-core IPCs per mix (runs concurrently under --jobs).
-    const auto base =
-        bench::runBaselineOverMixes(bench::baselineFor(opt), mixes, opt);
-    std::cout << "  baseline done\n" << std::flush;
-
     struct Cfg { const char *name; double tag, data; };
     const Cfg cfgs[] = {{"RC-8/4", 8, 4}, {"RC-8/2", 8, 2},
                         {"RC-8/1", 8, 1}};
 
-    for (const Cfg &cfg : cfgs) {
-        // Per-mix runs fan out over the pool into pre-sized slots; the
-        // per-application aggregation below stays sequential so the
-        // sample order (and the quartiles) match the serial path.
-        std::vector<bench::RunResult> results(mixes.size());
-        bench::forEachRun(mixes.size(), opt, [&](std::size_t i) {
-            results[i] = bench::runMix(
-                reuseSystem(cfg.tag, cfg.data, 0, opt.scale), mixes[i],
-                opt);
-        });
+    // Baseline in column 0; the per-application aggregation below stays
+    // sequential so the sample order (and the quartiles) match for any
+    // --jobs value.
+    std::vector<SystemConfig> grid = {bench::baselineFor(opt)};
+    for (const Cfg &cfg : cfgs)
+        grid.push_back(reuseSystem(cfg.tag, cfg.data, 0, opt.scale));
+    const auto res = bench::runConfigsOverMixes(grid, mixes, opt);
+    const auto &base = res[0];
+    std::cout << "  baseline done\n";
+
+    for (std::size_t k = 0; k < std::size(cfgs); ++k) {
+        const Cfg &cfg = cfgs[k];
         std::map<std::string, std::vector<double>> per_app;
         for (std::size_t i = 0; i < mixes.size(); ++i) {
-            const auto &res = results[i];
-            for (std::size_t c = 0; c < res.coreIpc.size(); ++c) {
+            const auto &run = res[k + 1][i];
+            for (std::size_t c = 0; c < run.coreIpc.size(); ++c) {
                 if (base[i].coreIpc[c] > 0.0) {
                     per_app[mixes[i].apps[c]].push_back(
-                        res.coreIpc[c] / base[i].coreIpc[c]);
+                        run.coreIpc[c] / base[i].coreIpc[c]);
                 }
             }
         }
@@ -72,7 +70,6 @@ main(int argc, char **argv)
                    fmtDouble(q.max, 2)});
         }
         t.print(std::cout);
-        std::cout << std::flush;
     }
     return 0;
 }

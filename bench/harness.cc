@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cerrno>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <thread>
 
@@ -910,24 +909,23 @@ telemetryTag()
 
 /**
  * Persist one run's resumable state: a "harness" section carrying the
- * phase (0 = warmup, 1 = measurement) and a fingerprint of the options
- * that shape determinism, then the full Cmp image, then the epoch
- * sampler's accumulated rows and baselines (absent when sampling is
- * off; the sampleInterval fingerprint keeps the two in agreement).
- * Checkpoints and watchdog hang dumps share this layout.
+ * phase (0 = warmup, 1 = measurement), the run's request digest (which
+ * run this state belongs to) and the sampling interval, then the full
+ * Cmp image, then the epoch sampler's accumulated rows and baselines
+ * (absent when sampling is off; the sampleInterval fingerprint keeps
+ * the two in agreement).  Checkpoints and watchdog hang dumps share
+ * this layout.
  */
 void
-writeRunState(const Cmp &cmp, std::uint32_t phase, const RunOptions &opt,
-              const EpochSampler *sampler, const std::string &path)
+writeRunState(const Cmp &cmp, std::uint32_t phase, std::uint64_t digest,
+              const RunOptions &opt, const EpochSampler *sampler,
+              const std::string &path)
 {
     Serializer s;
     s.beginSection("run");
     s.beginSection("harness");
     s.putU32(phase);
-    s.putU64(opt.seed);
-    s.putU64(opt.warmup);
-    s.putU64(opt.measure);
-    s.putU64(opt.scale);
+    s.putU64(digest);
     s.putU64(opt.sampleInterval);
     s.endSection("harness");
     s.beginSection("cmp");
@@ -943,13 +941,28 @@ writeRunState(const Cmp &cmp, std::uint32_t phase, const RunOptions &opt,
 }
 
 /**
+ * Request digest of one run: the canonical encoding of every input
+ * that shapes its numbers (svc::requestDigest).  Persisted results and
+ * checkpoints carry it, so a relaunch restores them only into the run
+ * that produced them, whatever the batch layout.
+ */
+std::uint64_t
+runDigest(SystemConfig cfg, const Mix &mix, const RunOptions &opt)
+{
+    cfg.seed = opt.seed;
+    return svc::requestDigest(svc::RunRequest{cfg, mix, opt.seed, opt.scale,
+                                              opt.warmup, opt.measure});
+}
+
+/**
  * One simulation run with the full robustness kit: optional resume from
  * a checkpoint, periodic checkpointing, watchdog wiring, integrity
  * cadence, fault injection and the tracker cooldown.  runMix and
- * runParallel differ only in how the Cmp is built.
+ * runParallel differ only in how the Cmp is built and in the request
+ * @p digest their checkpoints and hang dumps carry.
  */
 RunResult
-executeRun(const SystemConfig &cfg,
+executeRun(std::uint64_t digest,
            const std::function<std::unique_ptr<Cmp>()> &make_cmp,
            const RunOptions &opt, GenerationTracker *tracker,
            Cycle *win_start, Cycle *win_end)
@@ -1000,27 +1013,24 @@ executeRun(const SystemConfig &cfg,
             d.beginSection("run");
             d.beginSection("harness");
             const std::uint32_t savedPhase = d.getU32();
-            const std::uint64_t seed = d.getU64();
-            const std::uint64_t warmup = d.getU64();
-            const std::uint64_t measure = d.getU64();
-            const std::uint64_t scale = d.getU64();
+            const std::uint64_t savedDigest = d.getU64();
             const std::uint64_t sampleEvery = d.getU64();
             if (savedPhase > 1)
                 throwSimError(SimError::Kind::Snapshot,
                               "checkpoint '%s' carries unknown phase %u",
                               ckptPath.c_str(), savedPhase);
-            if (seed != opt.seed || warmup != opt.warmup ||
-                measure != opt.measure || scale != opt.scale ||
-                sampleEvery != opt.sampleInterval)
+            if (savedDigest != digest)
                 throwSimError(SimError::Kind::Snapshot,
-                              "checkpoint '%s' was taken under different "
-                              "run options (seed %llu warmup %llu measure "
-                              "%llu scale %llu sample-interval %llu)",
+                              "checkpoint '%s' belongs to another run "
+                              "(request digest %s, this run %s)",
                               ckptPath.c_str(),
-                              static_cast<unsigned long long>(seed),
-                              static_cast<unsigned long long>(warmup),
-                              static_cast<unsigned long long>(measure),
-                              static_cast<unsigned long long>(scale),
+                              digestHex(savedDigest).c_str(),
+                              digestHex(digest).c_str());
+            if (sampleEvery != opt.sampleInterval)
+                throwSimError(SimError::Kind::Snapshot,
+                              "checkpoint '%s' was taken with sample "
+                              "interval %llu",
+                              ckptPath.c_str(),
                               static_cast<unsigned long long>(sampleEvery));
             d.endSection("harness");
             d.beginSection("cmp");
@@ -1088,12 +1098,12 @@ executeRun(const SystemConfig &cfg,
                                    currentBatchIndex(), currentRunIndex(),
                                    "dump");
         }
-        cmp.setAbortFlag(abort_flag,
-                         [&opt, &phase, sampler, dumpPath](const Cmp &c) {
+        cmp.setAbortFlag(abort_flag, [&opt, &phase, digest, sampler,
+                                      dumpPath](const Cmp &c) {
             if (dumpPath.empty())
                 return;
             try {
-                writeRunState(c, phase, opt, sampler, dumpPath);
+                writeRunState(c, phase, digest, opt, sampler, dumpPath);
                 warn("watchdog: diagnostic state dump written to '%s'",
                      dumpPath.c_str());
                 // A sweep that keeps tripping its watchdog across
@@ -1110,10 +1120,10 @@ executeRun(const SystemConfig &cfg,
     // dies right after a checkpoint landed, like a kill -9 would).
     if (!ckptPath.empty())
         cmp.setSnapshotHook(opt.checkpointInterval,
-                            [&opt, &phase, sampler, tracer,
+                            [&opt, &phase, digest, sampler, tracer,
                              ckptPath](const Cmp &c, Cycle) {
             const std::uint64_t t0 = tracer ? tracer->hostNowMicros() : 0;
-            writeRunState(c, phase, opt, sampler, ckptPath);
+            writeRunState(c, phase, digest, opt, sampler, ckptPath);
             if (tracer)
                 tracer->recordHost("checkpoint.write", 0,
                                    tracer->hostNowMicros() - t0);
@@ -1180,7 +1190,6 @@ executeRun(const SystemConfig &cfg,
         checker.enforceQuiesce(cmp.now());
     if (!ckptPath.empty())
         std::remove(ckptPath.c_str());
-    (void)cfg;
     return res;
 }
 
@@ -1320,7 +1329,9 @@ runMix(const SystemConfig &sys, const Mix &mix, const RunOptions &opt,
 {
     SystemConfig cfg = sys;
     cfg.seed = opt.seed;
-    return executeRun(cfg,
+    // Checkpoints and hang dumps live under the sweep directory, so the
+    // digest they carry is computed only when there is one.
+    return executeRun(opt.sweepDir.empty() ? 0 : runDigest(cfg, mix, opt),
                       [&] {
                           return std::make_unique<Cmp>(
                               cfg, buildMixStreams(mix, opt.seed,
@@ -1335,7 +1346,11 @@ runParallel(const SystemConfig &sys, const AppProfile &app,
 {
     SystemConfig cfg = sys;
     cfg.seed = opt.seed;
-    return executeRun(cfg,
+    // Keyed like a one-application mix: the config, the app's name and
+    // the run options.
+    return executeRun(opt.sweepDir.empty()
+                          ? 0
+                          : runDigest(cfg, Mix{{app.name}}, opt),
                       [&] {
                           return std::make_unique<Cmp>(
                               cfg, buildParallelStreams(app, cfg.numCores,
@@ -1348,83 +1363,6 @@ runParallel(const SystemConfig &sys, const AppProfile &app,
 // RunResult's field-level serialization moved to src/sim/run_result.cc
 // (rc::saveRunResult / rc::loadRunResult, found here via ADL) when the
 // sweep daemon started persisting the same values.
-
-namespace
-{
-
-/**
- * In-process memo of finished RunResults keyed by (config, mix,
- * deterministic run options): benches re-running the same baseline for
- * several comparisons reuse the simulated results.  Keys are canonical
- * request encodings (memoKey) — equal keys imply equal simulations,
- * and a spurious mismatch only costs a re-run, never a wrong reuse.
- */
-struct RunMemo
-{
-    std::mutex mu;
-    std::map<std::string, RunResult> map;
-};
-
-RunMemo &
-runMemo()
-{
-    static RunMemo m;
-    return m;
-}
-
-/** Memoization is sound only for plain in-memory sweeps: journaling,
- *  resume and the failure-injection hooks all change what a "result"
- *  means for a given key. */
-bool
-memoizable(const RunOptions &opt)
-{
-    return opt.sweepDir.empty() && !opt.resume &&
-           opt.injectFault.empty() && opt.crashAfterRefs == 0 &&
-           opt.livelockRun == SIZE_MAX;
-}
-
-/**
- * Memo key of one (config, mix) cell: the canonical request encoding
- * the result cache keys on (every SystemConfig field, the mix and the
- * options that shape the numbers), plus the job count.  The job count
- * is included deliberately even though results are jobs-invariant: the
- * determinism tests re-run sweeps across job counts to PROVE that
- * invariance, and a memo hit would short-circuit exactly the property
- * under test.
- */
-std::string
-memoKey(const SystemConfig &cfg, const Mix &mix, const RunOptions &opt)
-{
-    const std::vector<std::uint8_t> bytes = svc::canonicalBytes(
-        svc::RunRequest{cfg, mix, opt.seed, opt.scale, opt.warmup,
-                        opt.measure});
-    return std::string(bytes.begin(), bytes.end()) + "|j=" +
-           std::to_string(effectiveJobs(opt));
-}
-
-/** Summary statistics over the filled per-mix ratio vector. */
-SpeedupSummary
-summarize(std::vector<double> per_mix)
-{
-    SpeedupSummary s;
-    s.perMix = std::move(per_mix);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < s.perMix.size(); ++i) {
-        const double v = s.perMix[i];
-        sum += v;
-        if (i == 0) {
-            s.min = s.max = v;
-        } else {
-            s.min = std::min(s.min, v);
-            s.max = std::max(s.max, v);
-        }
-    }
-    s.mean = s.perMix.empty() ? 0.0
-                              : sum / static_cast<double>(s.perMix.size());
-    return s;
-}
-
-} // namespace
 
 std::vector<RunResult>
 runMixFanout(const std::vector<SystemConfig> &cfgs, const Mix &mix,
@@ -1442,30 +1380,6 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
         cfgs.size(), std::vector<RunResult>(mixes.size()));
     if (cfgs.empty() || mixes.empty())
         return results;
-
-    // Memo lookup: cells simulated earlier in this process (same
-    // config, mix and deterministic options) are filled directly and
-    // excluded from the job list.
-    const bool memo = memoizable(opt);
-    std::vector<std::string> cellKeys;
-    std::vector<std::vector<char>> have(
-        cfgs.size(), std::vector<char>(mixes.size(), 0));
-    if (memo) {
-        cellKeys.resize(cfgs.size() * mixes.size());
-        RunMemo &cache = runMemo();
-        std::lock_guard<std::mutex> lock(cache.mu);
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            for (std::size_t m = 0; m < mixes.size(); ++m) {
-                std::string &key = cellKeys[i * mixes.size() + m];
-                key = memoKey(cfgs[i], mixes[m], opt);
-                const auto it = cache.map.find(key);
-                if (it != cache.map.end()) {
-                    results[i][m] = it->second;
-                    have[i][m] = 1;
-                }
-            }
-        }
-    }
 
     // Group configs by the front-end-invariant prefix, preserving
     // first-appearance order so job numbering is stable across
@@ -1500,39 +1414,34 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
     };
     std::vector<Job> jobs;
     for (const std::vector<std::size_t> &g : groups) {
+        // Single-member jobs normally take the plain runMix path
+        // (fan-out buys nothing), but with a feed cache attached the
+        // fan-out path is where replay lives — route them through it so
+        // single-config sweeps (table5-style baselines) go SLLC-only on
+        // warm keys too.
+        const bool fanout = fanoutOk && !cfgs[g.front()].prefetch.enable &&
+                            (g.size() >= 2 || !opt.feedCacheDir.empty());
         for (std::size_t m = 0; m < mixes.size(); ++m) {
-            std::vector<std::size_t> need;
-            for (std::size_t i : g) {
-                if (!have[i][m])
-                    need.push_back(i);
-            }
-            if (need.empty())
-                continue;
-            // Single-member jobs normally take the plain runMix path
-            // (fan-out buys nothing), but with a feed cache attached
-            // the fan-out path is where replay lives — route them
-            // through it so single-config sweeps (fig06, fig07-style
-            // baselines) go SLLC-only on warm keys too.
-            const bool wantFanout =
-                need.size() >= 2 || !opt.feedCacheDir.empty();
-            if (fanoutOk && wantFanout &&
-                !cfgs[need.front()].prefetch.enable) {
-                jobs.push_back(Job{std::move(need), m});
+            if (fanout) {
+                jobs.push_back(Job{g, m});
             } else {
-                for (std::size_t i : need)
+                for (std::size_t i : g)
                     jobs.push_back(Job{{i}, m});
             }
         }
     }
-    if (jobs.empty())
-        return results;
 
+    // Each persisted result is preceded by its run's request digest, so
+    // a relaunch whose batch layout or options differ re-simulates
+    // instead of reloading another run's numbers.
     ResultCodec codec;
     codec.save = [&](std::size_t j, Serializer &s) {
         const Job &job = jobs[j];
         s.putU64(job.members.size());
-        for (std::size_t i : job.members)
+        for (std::size_t i : job.members) {
+            s.putU64(runDigest(cfgs[i], mixes[job.mix], opt));
             saveRunResult(s, results[i][job.mix]);
+        }
     };
     codec.load = [&](std::size_t j, Deserializer &d) {
         const Job &job = jobs[j];
@@ -1543,40 +1452,64 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
                           "for a %zu-member job",
                           static_cast<unsigned long long>(n),
                           job.members.size());
-        for (std::size_t i : job.members)
+        for (std::size_t i : job.members) {
+            const std::uint64_t saved = d.getU64();
+            const std::uint64_t want = runDigest(cfgs[i], mixes[job.mix], opt);
+            if (saved != want)
+                throwSimError(SimError::Kind::Snapshot,
+                              "persisted result of config %zu on mix %zu "
+                              "belongs to another run (request digest %s, "
+                              "this run %s)", i, job.mix,
+                              digestHex(saved).c_str(),
+                              digestHex(want).c_str());
             results[i][job.mix] = loadRunResult(d);
+        }
     };
 
-    const std::vector<RunOutcome> outcomes =
-        forEachRun(jobs.size(), opt, [&](std::size_t j) {
-            const Job &job = jobs[j];
-            if (job.members.size() == 1 && opt.feedCacheDir.empty()) {
-                results[job.members.front()][job.mix] =
-                    runMix(cfgs[job.members.front()], mixes[job.mix], opt);
-            } else {
-                std::vector<SystemConfig> group;
-                group.reserve(job.members.size());
-                for (std::size_t i : job.members)
-                    group.push_back(cfgs[i]);
-                const std::vector<RunResult> r =
-                    executeFanout(group, mixes[job.mix], opt);
-                for (std::size_t k = 0; k < job.members.size(); ++k)
-                    results[job.members[k]][job.mix] = r[k];
-            }
-        }, &codec);
+    forEachRun(jobs.size(), opt, [&](std::size_t j) {
+        const Job &job = jobs[j];
+        if (job.members.size() == 1 && opt.feedCacheDir.empty()) {
+            results[job.members.front()][job.mix] =
+                runMix(cfgs[job.members.front()], mixes[job.mix], opt);
+        } else {
+            std::vector<SystemConfig> group;
+            group.reserve(job.members.size());
+            for (std::size_t i : job.members)
+                group.push_back(cfgs[i]);
+            const std::vector<RunResult> r =
+                executeFanout(group, mixes[job.mix], opt);
+            for (std::size_t k = 0; k < job.members.size(); ++k)
+                results[job.members[k]][job.mix] = r[k];
+        }
+    }, &codec);
+    return results;
+}
 
-    if (memo) {
-        RunMemo &cache = runMemo();
-        std::lock_guard<std::mutex> lock(cache.mu);
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            if (outcomes[j].status == RunStatus::Quarantined)
-                continue;
-            for (std::size_t i : jobs[j].members)
-                cache.map[cellKeys[i * mixes.size() + jobs[j].mix]] =
-                    results[i][jobs[j].mix];
+SpeedupSummary
+speedups(const std::vector<RunResult> &sys,
+         const std::vector<RunResult> &baseline)
+{
+    RC_ASSERT(sys.size() == baseline.size(),
+              "%zu results against %zu baseline results", sys.size(),
+              baseline.size());
+    SpeedupSummary s;
+    s.perMix.resize(sys.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+        const double v =
+            speedupRatio(sys[i].aggregateIpc, baseline[i].aggregateIpc);
+        s.perMix[i] = v;
+        sum += v;
+        if (i == 0) {
+            s.min = s.max = v;
+        } else {
+            s.min = std::min(s.min, v);
+            s.max = std::max(s.max, v);
         }
     }
-    return results;
+    s.mean = s.perMix.empty() ? 0.0
+                              : sum / static_cast<double>(s.perMix.size());
+    return s;
 }
 
 std::vector<RunResult>
@@ -1588,44 +1521,13 @@ runBaselineOverMixes(const SystemConfig &baseline,
     return std::move(res.front());
 }
 
-void
-clearBaselineMemoForTest()
-{
-    RunMemo &cache = runMemo();
-    std::lock_guard<std::mutex> lock(cache.mu);
-    cache.map.clear();
-}
-
 SpeedupSummary
 compareAgainst(const SystemConfig &sys, const std::vector<Mix> &mixes,
                const std::vector<RunResult> &baseline,
                const RunOptions &opt)
 {
-    RC_ASSERT(mixes.size() == baseline.size(),
-              "baseline results do not match the mix list");
-    const std::vector<std::vector<RunResult>> res =
-        runConfigsOverMixes({sys}, mixes, opt);
-    std::vector<double> per_mix(mixes.size(), 0.0);
-    for (std::size_t i = 0; i < mixes.size(); ++i)
-        per_mix[i] = speedupRatio(res.front()[i].aggregateIpc,
-                                  baseline[i].aggregateIpc);
-    return summarize(std::move(per_mix));
-}
-
-SpeedupSummary
-compareOverMixes(const SystemConfig &sys, const SystemConfig &baseline,
-                 const std::vector<Mix> &mixes, const RunOptions &opt)
-{
-    // One pass, two back ends per mix when the systems share a front
-    // end; runConfigsOverMixes degrades to the two-batch layout itself
-    // when they do not.
-    const std::vector<std::vector<RunResult>> res =
-        runConfigsOverMixes({baseline, sys}, mixes, opt);
-    std::vector<double> per_mix(mixes.size(), 0.0);
-    for (std::size_t i = 0; i < mixes.size(); ++i)
-        per_mix[i] = speedupRatio(res[1][i].aggregateIpc,
-                                  res[0][i].aggregateIpc);
-    return summarize(std::move(per_mix));
+    return speedups(runConfigsOverMixes({sys}, mixes, opt).front(),
+                    baseline);
 }
 
 void

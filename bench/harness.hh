@@ -132,9 +132,11 @@ struct RunOptions
      * Checkpoint cadence in references (0 = off).  When set together
      * with sweepDir, every run persists its full simulated state to
      * `<sweepDir>/ckpt-b<batch>-r<run>.ckpt` every N references, at a
-     * quiescent point, so a killed sweep can resume mid-run.  Ignored
-     * (with a warning) when a GenerationTracker is attached: observer
-     * history is not part of the simulated state.
+     * quiescent point, so a killed sweep can resume mid-run.  The file
+     * carries the run's request digest (svc::requestDigest), and a
+     * resumed run restores only a checkpoint with its own digest.
+     * Ignored (with a warning) when a GenerationTracker is attached:
+     * observer history is not part of the simulated state.
      */
     std::uint64_t checkpointInterval = 0;
 
@@ -299,6 +301,13 @@ std::uint64_t currentBatchIndex();
 void resetSweepBatchesForTest();
 
 /**
+ * Delete all but the newest @p keep `hang-*.dump` diagnostics under
+ * @p dir (newest by modification time, file name breaking ties).
+ * Invoked automatically after every watchdog dump; 0 keeps everything.
+ */
+void pruneHangDumps(const std::string &dir, std::size_t keep);
+
+/**
  * RAII adoption of an external watchdog: while alive, runs executed on
  * the calling thread publish forward progress into @p heartbeat and
  * honour @p abort, through exactly the wiring forEachRun's own monitor
@@ -306,13 +315,6 @@ void resetSweepBatchesForTest();
  * hung or deadline-expired simulation; restores the previous wiring on
  * destruction.
  */
-/**
- * Delete all but the newest @p keep `hang-*.dump` diagnostics under
- * @p dir (newest by modification time, file name breaking ties).
- * Invoked automatically after every watchdog dump; 0 keeps everything.
- */
-void pruneHangDumps(const std::string &dir, std::size_t keep);
-
 class ScopedRunWatch
 {
   public:
@@ -437,10 +439,7 @@ RunResult runMix(const SystemConfig &sys, const Mix &mix,
 RunResult runParallel(const SystemConfig &sys, const AppProfile &app,
                       const RunOptions &opt);
 
-/**
- * Mean speedup of @p sys over @p baseline across @p mixes
- * (per-mix aggregate-IPC ratios).
- */
+/** Speedups of one configuration over a baseline; see speedups(). */
 struct SpeedupSummary
 {
     double mean = 0.0;
@@ -462,13 +461,17 @@ std::vector<RunResult> runMixFanout(const std::vector<SystemConfig> &cfgs,
                                     const Mix &mix, const RunOptions &opt);
 
 /**
- * Sweep @p cfgs x @p mixes, grouping runs by (mix, front-end prefix of
- * the SystemConfig) and dispatching one fan-out job per group instead
- * of one job per run.  Groups ineligible for fan-out (single config,
- * prefetching enabled, fault injection, journaled/resumable sweeps or
- * the crash/livelock test hooks) fall back to independent runMix jobs,
- * so the aggregated results are bit-identical either way — and at any
- * --jobs=N, since each job stays deterministic and independent.
+ * Sweep @p cfgs x @p mixes in one forEachRun batch, grouping runs by
+ * (mix, front-end prefix of the SystemConfig) and dispatching one
+ * fan-out job per group instead of one job per run.  Groups ineligible
+ * for fan-out (single config, prefetching enabled, fault injection,
+ * journaled/resumable sweeps or the crash/livelock test hooks) fall
+ * back to independent runMix jobs, so the aggregated results are
+ * bit-identical either way — and at any --jobs=N, since each job stays
+ * deterministic and independent.  A figure declares its whole grid
+ * here once (baseline in column 0) and reads its rows from the matrix.
+ * Journaled results carry each run's request digest, so a resumed
+ * sweep reloads a result only into the run that produced it.
  * @return results[config][mix].
  */
 std::vector<std::vector<RunResult>>
@@ -476,33 +479,28 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
                     const std::vector<Mix> &mixes, const RunOptions &opt);
 
 /**
- * Run both systems over every mix and summarize the ratios.  The two
- * systems share their front end whenever they agree on the private
- * prefix, so the common case (same cores/L1/L2, different SLLC) costs
- * one reference stream instead of two.
+ * Per-mix aggregate-IPC ratios of @p sys over @p baseline (two rows of
+ * one runConfigsOverMixes matrix) and their mean/min/max.  A mix whose
+ * baseline measured no instructions contributes 0 (speedupRatio).  The
+ * rows must have one result per mix each.
  */
-SpeedupSummary compareOverMixes(const SystemConfig &sys,
-                                const SystemConfig &baseline,
-                                const std::vector<Mix> &mixes,
-                                const RunOptions &opt);
+SpeedupSummary speedups(const std::vector<RunResult> &sys,
+                        const std::vector<RunResult> &baseline);
 
 /**
- * Baseline results cache: benches comparing many configurations against
- * the same baseline reuse one result set.  Results are additionally
- * memoized per (config, mix, deterministic options) within the process,
- * so repeated calls — e.g. several compareOverMixes() against the same
- * baseline — reuse the simulated results instead of re-running them.
- * Memoization is skipped for journaled sweeps and for runs with fault
- * injection or the crash/livelock test hooks.
+ * One configuration over every mix: row 0 of runConfigsOverMixes.
+ * Kept for the repository benchmark's per-config sweep pattern; the
+ * figure benches declare their whole grid instead.
  */
 std::vector<RunResult> runBaselineOverMixes(const SystemConfig &baseline,
                                             const std::vector<Mix> &mixes,
                                             const RunOptions &opt);
 
-/** Drop every memoized baseline result (test isolation). */
-void clearBaselineMemoForTest();
-
-/** Speedups of @p sys against precomputed baseline results. */
+/**
+ * Speedups of @p sys against precomputed @p baseline results: one
+ * runConfigsOverMixes batch for @p sys, then speedups().  Kept for the
+ * repository benchmark's per-config sweep pattern.
+ */
 SpeedupSummary compareAgainst(const SystemConfig &sys,
                               const std::vector<Mix> &mixes,
                               const std::vector<RunResult> &baseline,

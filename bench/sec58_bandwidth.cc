@@ -21,33 +21,43 @@ main(int argc, char **argv)
         "with 2 and 4 memory channels, system performance varies by "
         "less than 1% for both organizations");
 
-    const auto mixes = makeMixes(opt.mixCount, 8, 7);
-
-    Table t("Aggregate IPC relative to the same organization with "
-            "1 channel");
-    t.header({"organization", "1 ch", "2 ch", "4 ch"});
-
     struct Org
     {
         std::string name;
         SystemConfig sys;
     };
     const SystemConfig conv = bench::baselineFor(opt);
-    Org orgs[] = {
+    const Org orgs[] = {
         {std::string("conv-8MB-") + toString(conv.conv.repl), conv},
         {"RC-4/1", reuseSystem(4, 1, 0, opt.scale)},
     };
-    for (Org &org : orgs) {
+    const std::uint32_t channelCounts[] = {1, 2, 4};
+
+    // Channels are a back-end field, so all six configs share one front
+    // end per mix.
+    std::vector<SystemConfig> cfgs;
+    for (const Org &org : orgs) {
+        for (std::uint32_t channels : channelCounts) {
+            cfgs.push_back(org.sys);
+            cfgs.back().memory.numChannels = channels;
+        }
+    }
+    const auto res = bench::runConfigsOverMixes(
+        cfgs, makeMixes(opt.mixCount, 8, 7), opt);
+
+    Table t("Aggregate IPC relative to the same organization with "
+            "1 channel");
+    t.header({"organization", "1 ch", "2 ch", "4 ch"});
+    std::size_t col = 0;
+    for (const Org &org : orgs) {
         std::vector<double> means;
-        for (std::uint32_t channels : {1u, 2u, 4u}) {
-            SystemConfig sys = org.sys;
-            sys.memory.numChannels = channels;
+        for (std::uint32_t channels : channelCounts) {
             Accum acc;
-            for (const Mix &mix : mixes)
-                acc.add(bench::runMix(sys, mix, opt).aggregateIpc);
+            for (const bench::RunResult &r : res[col++])
+                acc.add(r.aggregateIpc);
             means.push_back(acc.mean());
             std::cout << "  " << org.name << " x" << channels
-                      << " channels done\n" << std::flush;
+                      << " channels done\n";
         }
         t.row({org.name, "1.000", fmtDouble(means[1] / means[0]),
                fmtDouble(means[2] / means[0])});

@@ -56,21 +56,19 @@ main(int argc, char **argv)
     t.header({"application", "L1", "L1 paper", "L2", "L2 paper", "LLC",
               "LLC paper"});
 
-    // One homogeneous run per application, fanned out over the pool;
-    // rows are emitted afterwards in table order so output is identical
-    // for any --jobs value.
+    // One homogeneous mix per application on the baseline; rows are
+    // emitted afterwards in table order so output is identical for any
+    // --jobs value.
     constexpr std::size_t numRows = std::size(paperRows);
-    std::vector<bench::RunResult> results(numRows);
-    bench::forEachRun(numRows, opt, [&](std::size_t i) {
-        Mix mix;
-        for (int c = 0; c < 8; ++c)
-            mix.apps.push_back(paperRows[i].name);
-        results[i] = bench::runMix(bench::baselineFor(opt), mix, opt);
-    });
+    std::vector<Mix> mixes(numRows);
+    for (std::size_t i = 0; i < numRows; ++i)
+        mixes[i].apps.assign(8, paperRows[i].name);
+    const auto results =
+        bench::runConfigsOverMixes({bench::baselineFor(opt)}, mixes, opt);
 
     for (std::size_t i = 0; i < numRows; ++i) {
         const PaperRow &row = paperRows[i];
-        const auto &res = results[i];
+        const auto &res = results[0][i];
         double l1 = 0, l2 = 0, llc = 0;
         for (const MpkiTriple &m : res.mpki) {
             l1 += m.l1;

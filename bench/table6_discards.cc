@@ -6,6 +6,7 @@
  */
 
 #include <iostream>
+#include <iterator>
 
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -21,8 +22,6 @@ main(int argc, char **argv)
         "RC-8/4 discards 93% on average, RC-4/1 95.4%; even the most "
         "demanding workload discards >80% (conv: 0%)");
 
-    const auto mixes = makeMixes(opt.mixCount, 8, 7);
-
     struct Cfg
     {
         const char *name;
@@ -37,20 +36,24 @@ main(int argc, char **argv)
         {"RC-4/0.5", 4, 0.5, 0.96, 0.89},
     };
 
+    std::vector<SystemConfig> grid;
+    for (const Cfg &cfg : cfgs)
+        grid.push_back(reuseSystem(cfg.tag, cfg.data, 0, opt.scale));
+    const auto res = bench::runConfigsOverMixes(
+        grid, makeMixes(opt.mixCount, 8, 7), opt);
+
     Table t("Percentage of tag generations never entering the data array");
     t.header({"config", "avg", "min", "paper avg", "paper min",
               "reloaded (avg)"});
-    for (const Cfg &cfg : cfgs) {
+    for (std::size_t k = 0; k < std::size(cfgs); ++k) {
+        const Cfg &cfg = cfgs[k];
         Accum acc;
-        for (const Mix &mix : mixes) {
-            const auto res = bench::runMix(
-                reuseSystem(cfg.tag, cfg.data, 0, opt.scale), mix, opt);
-            acc.add(res.fracNeverEnteredData);
-        }
+        for (const bench::RunResult &r : res[k])
+            acc.add(r.fracNeverEnteredData);
         t.row({cfg.name, fmtPercent(acc.mean()), fmtPercent(acc.min()),
                fmtPercent(cfg.paperAvg), fmtPercent(cfg.paperMin),
                fmtPercent(1.0 - acc.mean())});
-        std::cout << "  " << cfg.name << " done\n" << std::flush;
+        std::cout << "  " << cfg.name << " done\n";
     }
     t.row({"Conv.", "0%", "0%", "0%", "0%", "-"});
     t.print(std::cout);

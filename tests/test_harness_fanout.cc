@@ -3,9 +3,7 @@
  * Harness-level fan-out tests: a grouped sweep (one front-end pass per
  * mix feeding every SLLC config) must aggregate bit-identically to
  * independent runMix calls, at any job count, with telemetry enabled,
- * and when a journaled sweep forces the independent fallback.  Also
- * covers the baseline memoization: repeated sweeps with identical
- * deterministic options reuse results instead of re-simulating.
+ * and when a journaled sweep forces the independent fallback.
  */
 
 #include <atomic>
@@ -77,7 +75,6 @@ TEST(HarnessFanout, GroupedSweepMatchesIndependentRuns)
     const auto opt = smokeOptions(1);
     const auto mixes = makeMixes(opt.mixCount, 8, 7);
     const auto cfgs = sllcMatrix(opt.scale);
-    bench::clearBaselineMemoForTest();
 
     const auto grouped = bench::runConfigsOverMixes(cfgs, mixes, opt);
     ASSERT_EQ(grouped.size(), cfgs.size());
@@ -100,7 +97,6 @@ TEST(HarnessFanout, GroupedSweepBitIdenticalAcrossJobCounts)
     const auto parallel = smokeOptions(4);
     const auto mixes = makeMixes(serial.mixCount, 8, 7);
     const auto cfgs = sllcMatrix(serial.scale);
-    bench::clearBaselineMemoForTest();
 
     const auto a = bench::runConfigsOverMixes(cfgs, mixes, serial);
     const auto b = bench::runConfigsOverMixes(cfgs, mixes, parallel);
@@ -123,7 +119,6 @@ TEST(HarnessFanout, MixedPrefixesSplitIntoGroups)
     SystemConfig bigL2 = baselineSystem(opt.scale);
     bigL2.priv.l2Bytes *= 2;
     cfgs.push_back(bigL2);
-    bench::clearBaselineMemoForTest();
 
     const auto grouped = bench::runConfigsOverMixes(cfgs, mixes, opt);
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
@@ -139,7 +134,6 @@ TEST(HarnessFanout, FanoutWithTelemetryMatchesPlainRun)
     auto opt = smokeOptions(1);
     const auto mixes = makeMixes(1, 8, 7);
     const auto cfgs = sllcMatrix(opt.scale);
-    bench::clearBaselineMemoForTest();
 
     const auto plain = bench::runConfigsOverMixes(cfgs, mixes, opt);
 
@@ -178,7 +172,6 @@ TEST(HarnessFanout, FeedCachedSweepMatchesPlain)
     const auto plainOpt = smokeOptions(1);
     const auto mixes = makeMixes(plainOpt.mixCount, 8, 7);
     const auto cfgs = sllcMatrix(plainOpt.scale);
-    bench::clearBaselineMemoForTest();
     const auto plain = bench::runConfigsOverMixes(cfgs, mixes, plainOpt);
 
     auto opt = plainOpt;
@@ -186,14 +179,12 @@ TEST(HarnessFanout, FeedCachedSweepMatchesPlain)
     const std::string rm = "rm -rf '" + opt.feedCacheDir + "'";
     (void)std::system(rm.c_str());
 
-    bench::clearBaselineMemoForTest();
     const auto cold = bench::runConfigsOverMixes(cfgs, mixes, opt);
     const auto fc = FeedCache::open(opt.feedCacheDir);
     EXPECT_EQ(fc->size(), mixes.size()) << "one blob per mix expected";
     const auto statsAfterCold = fc->stats();
     EXPECT_EQ(statsAfterCold.stores, mixes.size());
 
-    bench::clearBaselineMemoForTest();
     const auto warm = bench::runConfigsOverMixes(cfgs, mixes, opt);
     EXPECT_EQ(fc->stats().hits, statsAfterCold.hits + mixes.size())
         << "warm sweep should replay every mix's blob";
@@ -210,50 +201,16 @@ TEST(HarnessFanout, FeedCachedSweepMatchesPlain)
 }
 
 /**
- * Baseline memoization: a second sweep with identical deterministic
- * options must reuse the first sweep's results without re-simulating.
- * The proof is the perf record: forEachRun accounts every executed
- * simulation, so a full memo hit adds no sims.
- */
-TEST(HarnessFanout, RepeatedBaselineSweepIsMemoized)
-{
-    const auto opt = smokeOptions(1);
-    const auto mixes = makeMixes(opt.mixCount, 8, 7);
-    const SystemConfig baseline = baselineSystem(opt.scale);
-    bench::clearBaselineMemoForTest();
-
-    const auto first = bench::runBaselineOverMixes(baseline, mixes, opt);
-    const std::string recordAfterFirst = bench::perfRecordJson();
-    const auto second = bench::runBaselineOverMixes(baseline, mixes, opt);
-    const std::string recordAfterSecond = bench::perfRecordJson();
-
-    ASSERT_EQ(first.size(), second.size());
-    for (std::size_t i = 0; i < first.size(); ++i)
-        expectIdentical(first[i], second[i], "memoized baseline");
-    EXPECT_EQ(recordAfterFirst, recordAfterSecond)
-        << "the second sweep re-simulated memoized runs";
-
-    // A different seed must miss the memo and simulate again.
-    auto reseeded = opt;
-    reseeded.seed = opt.seed + 1;
-    (void)bench::runBaselineOverMixes(baseline, mixes, reseeded);
-    EXPECT_NE(bench::perfRecordJson(), recordAfterSecond)
-        << "a different seed should not hit the memo";
-    bench::clearBaselineMemoForTest();
-}
-
-/**
- * The memo key covers every SystemConfig field: a reuse-cache config
- * that differs from a memoized one only in its predictor (or its SLLC
- * seed) must simulate afresh and match an unmemoized run, not be
- * served the plain config's result.
+ * Every SystemConfig field reaches the simulation: a reuse-cache config
+ * that differs from an already-swept one only in its predictor (or its
+ * SLLC seed) must simulate afresh and match its own runMix, never the
+ * plain config's result.
  */
 TEST(HarnessFanout, MemoKeyCoversEverySllcField)
 {
     const auto opt = smokeOptions(1);
     const auto mixes = makeMixes(1, 8, 7);
     SystemConfig plain = reuseSystem(4.0, 1.0, 16, opt.scale);
-    bench::clearBaselineMemoForTest();
     (void)bench::runBaselineOverMixes(plain, mixes, opt);
 
     SystemConfig predictor = plain;
@@ -279,7 +236,6 @@ TEST(HarnessFanout, MemoKeyCoversEverySllcField)
         expectIdentical(bench::runMix(v.cfg, mixes[0], opt), got[0],
                         v.what);
     }
-    bench::clearBaselineMemoForTest();
 }
 
 } // namespace

@@ -7,6 +7,7 @@
  */
 
 #include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,12 +77,12 @@ TEST(HarnessParallel, SpeedupSummaryBitIdenticalAcrossJobCounts)
     const auto mixes = makeMixes(serial.mixCount, 8, 7);
     const auto sys = reuseSystem(4.0, 1.0, 0, serial.scale);
 
-    const auto a =
-        bench::compareOverMixes(sys, baselineSystem(serial.scale), mixes,
-                                serial);
-    const auto b =
-        bench::compareOverMixes(sys, baselineSystem(parallel.scale),
-                                mixes, parallel);
+    const auto ra = bench::runConfigsOverMixes(
+        {baselineSystem(serial.scale), sys}, mixes, serial);
+    const auto rb = bench::runConfigsOverMixes(
+        {baselineSystem(parallel.scale), sys}, mixes, parallel);
+    const auto a = bench::speedups(ra[1], ra[0]);
+    const auto b = bench::speedups(rb[1], rb[0]);
 
     EXPECT_EQ(a.mean, b.mean);
     EXPECT_EQ(a.min, b.min);
@@ -95,9 +96,10 @@ TEST(HarnessParallel, SummaryStatsAreOnePassConsistent)
 {
     const auto opt = smokeOptions(2);
     const auto mixes = makeMixes(opt.mixCount, 8, 7);
-    const auto s = bench::compareOverMixes(
-        reuseSystem(4.0, 1.0, 0, opt.scale), baselineSystem(opt.scale),
+    const auto res = bench::runConfigsOverMixes(
+        {baselineSystem(opt.scale), reuseSystem(4.0, 1.0, 0, opt.scale)},
         mixes, opt);
+    const auto s = bench::speedups(res[1], res[0]);
     ASSERT_EQ(s.perMix.size(), mixes.size());
     EXPECT_LE(s.min, s.mean);
     EXPECT_LE(s.mean, s.max);
@@ -113,6 +115,45 @@ TEST(HarnessParallel, SpeedupRatioGuardsZeroBaseline)
     EXPECT_EQ(bench::speedupRatio(1.5, 0.0), 0.0);
     EXPECT_EQ(bench::speedupRatio(1.5, -1.0), 0.0);
     EXPECT_DOUBLE_EQ(bench::speedupRatio(3.0, 2.0), 1.5);
+}
+
+/** RunResults carrying only the given aggregate IPCs, one per mix. */
+std::vector<bench::RunResult>
+withIpcs(std::initializer_list<double> ipcs)
+{
+    std::vector<bench::RunResult> out;
+    for (double v : ipcs) {
+        bench::RunResult r;
+        r.aggregateIpc = v;
+        out.push_back(r);
+    }
+    return out;
+}
+
+TEST(HarnessParallel, SpeedupsSummarizePerMixRatios)
+{
+    const auto s = bench::speedups(withIpcs({3.0, 1.0, 2.5, 4.0}),
+                                   withIpcs({2.0, 2.0, 2.0, 0.0}));
+    ASSERT_EQ(s.perMix.size(), 4u);
+    EXPECT_DOUBLE_EQ(s.perMix[0], 1.5);
+    EXPECT_DOUBLE_EQ(s.perMix[1], 0.5);
+    EXPECT_DOUBLE_EQ(s.perMix[2], 1.25);
+    EXPECT_EQ(s.perMix[3], 0.0) << "a zero baseline must not divide";
+    EXPECT_DOUBLE_EQ(s.mean, (1.5 + 0.5 + 1.25 + 0.0) / 4.0);
+    EXPECT_EQ(s.min, 0.0);
+    EXPECT_DOUBLE_EQ(s.max, 1.5);
+
+    const auto none = bench::speedups({}, {});
+    EXPECT_TRUE(none.perMix.empty());
+    EXPECT_EQ(none.mean, 0.0);
+    EXPECT_EQ(none.min, 0.0);
+    EXPECT_EQ(none.max, 0.0);
+}
+
+TEST(HarnessParallelDeathTest, SpeedupsRejectMismatchedRows)
+{
+    EXPECT_DEATH(bench::speedups(withIpcs({1.0}), withIpcs({1.0, 2.0})),
+                 "1 results against 2 baseline results");
 }
 
 TEST(HarnessParallel, EffectiveJobsResolvesAutoAndExplicit)

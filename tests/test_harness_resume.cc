@@ -6,7 +6,9 @@
  * bit-identical aggregate, a livelocked run is detected, state-dumped
  * and quarantined while its siblings complete, a batch with the
  * watchdog armed ends with its last run, and a quarantine retry with a
- * generation tracker attached reproduces a clean run exactly.
+ * generation tracker attached reproduces a clean run exactly.  Persisted
+ * results and checkpoints are matched to their run by request digest,
+ * so a relaunch with other options or configs never reloads them.
  */
 
 #include <atomic>
@@ -336,6 +338,84 @@ TEST(HarnessResume, CrashedSweepResumesFromCheckpointsBitIdentically)
         EXPECT_FALSE(ran[i]);
         expectIdentical(third[i], ref[i]);
     }
+}
+
+/**
+ * A persisted result is matched to its run by request digest, not by
+ * its (batch, run) position: a sweep resumed under another seed reuses
+ * the same positions, so without the digest it would reload the first
+ * seed's numbers into every cell.
+ */
+TEST(HarnessResume, ResumedSweepUnderAnotherSeedReSimulates)
+{
+    bench::setExitOnQuarantine(false);
+    const std::vector<SystemConfig> cfgs = {baselineSystem(8),
+                                            reuseSystem(4.0, 1.0, 0, 8)};
+    const auto mixes = makeMixes(2, 8, 7);
+    const std::string dir = sweepDir("resume-reseeded");
+    scrubDir(dir);
+
+    auto first = smokeOptions(2);
+    first.sweepDir = dir;
+    bench::resetSweepBatchesForTest();
+    const auto seed42 = bench::runConfigsOverMixes(cfgs, mixes, first);
+
+    auto reseeded = first;
+    reseeded.resume = true;
+    reseeded.seed = first.seed + 1;
+    bench::resetSweepBatchesForTest();
+    const auto got = bench::runConfigsOverMixes(cfgs, mixes, reseeded);
+
+    auto fresh = reseeded;
+    fresh.sweepDir.clear();
+    fresh.resume = false;
+    const auto want = bench::runConfigsOverMixes(cfgs, mixes, fresh);
+    ASSERT_NE(want[0][0].aggregateIpc, seed42[0][0].aggregateIpc)
+        << "the two seeds must give different numbers for this test to "
+           "tell them apart";
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
+            SCOPED_TRACE("config " + std::to_string(i) + " mix " +
+                         std::to_string(m));
+            expectIdentical(got[i][m], want[i][m]);
+        }
+    }
+}
+
+/**
+ * Runs outside forEachRun all checkpoint to ckpt-solo.ckpt; a resumed
+ * run of another config must not restore the checkpoint a crashed run
+ * left there, but start from scratch.
+ */
+TEST(HarnessResume, CheckpointOfAnotherConfigIsNotRestored)
+{
+    const SystemConfig base = baselineSystem(8);
+    SystemConfig slower = base;
+    slower.xbar.linkLatency += 3;
+    const auto mixes = makeMixes(1, 8, 7);
+    const std::string dir = sweepDir("resume-solo");
+    const std::string ckpt = dir + "/ckpt-solo.ckpt";
+    std::remove(ckpt.c_str());
+
+    auto crashing = smokeOptions(1);
+    crashing.sweepDir = dir;
+    crashing.checkpointInterval = 5'000;
+    crashing.crashAfterRefs = 40'000;
+    EXPECT_THROW(bench::runMix(base, mixes[0], crashing), SimError);
+    ASSERT_TRUE(fileExists(ckpt)) << "the crashed run left no checkpoint";
+
+    auto resumed = crashing;
+    resumed.resume = true;
+    resumed.crashAfterRefs = 0;
+    const bench::RunResult got = bench::runMix(slower, mixes[0], resumed);
+    const bench::RunResult want =
+        bench::runMix(slower, mixes[0], smokeOptions(1));
+    ASSERT_NE(want.aggregateIpc,
+              bench::runMix(base, mixes[0], smokeOptions(1)).aggregateIpc)
+        << "the two configs must give different numbers for this test "
+           "to tell them apart";
+    expectIdentical(got, want);
+    std::remove(ckpt.c_str());
 }
 
 TEST(HarnessResume, WatchdogQuarantinesLivelockedRunWhileSiblingsComplete)
