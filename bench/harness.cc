@@ -8,9 +8,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -62,6 +64,28 @@ thread_local std::uint32_t tlsAttempt = 0;
 /** Watchdog wiring of the calling worker's run (null = no watchdog). */
 thread_local std::atomic<std::uint64_t> *tlsHeartbeat = nullptr;
 thread_local const std::atomic<bool> *tlsAbortFlag = nullptr;
+
+/**
+ * Adopts an external watchdog for the calling thread's runs while alive
+ * (the sweep daemon's per-job abort flag and heartbeat), through the
+ * wiring forEachRun's own monitor uses.
+ */
+struct ScopedRunWatch
+{
+    ScopedRunWatch(const std::atomic<bool> *abort,
+                   std::atomic<std::uint64_t> *heartbeat)
+        : prevAbort(std::exchange(tlsAbortFlag, abort)),
+          prevHeartbeat(std::exchange(tlsHeartbeat, heartbeat))
+    {
+    }
+    ~ScopedRunWatch()
+    {
+        tlsAbortFlag = prevAbort;
+        tlsHeartbeat = prevHeartbeat;
+    }
+    const std::atomic<bool> *prevAbort;
+    std::atomic<std::uint64_t> *prevHeartbeat;
+};
 
 /** Exit nonzero when quarantined runs remain (parseArgs guard). */
 std::atomic<bool> exitOnQuarantineFlag{true};
@@ -244,6 +268,36 @@ registerQuarantineGuard()
     });
 }
 
+/** Print the usage string and end the process on a malformed value. */
+[[noreturn]] void
+badValue(const char *flag, const char *value, const char *want)
+{
+    std::fprintf(stderr, "%s", usageString());
+    fatal("%s needs %s (got '%s')", flag, want, value);
+}
+
+/**
+ * The whole of @p value as an unsigned decimal no larger than @p max.
+ * Anything else (empty, a sign, an exponent, trailing characters,
+ * overflow) is fatal through badValue().
+ */
+std::uint64_t
+parseCount(const char *flag, const char *value,
+           std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t v = 0;
+    const char *p = value;
+    for (; *p >= '0' && *p <= '9'; ++p) {
+        const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
+        if (v > (max - digit) / 10)
+            badValue(flag, value, "an unsigned decimal in range");
+        v = v * 10 + digit;
+    }
+    if (p == value || *p != '\0')
+        badValue(flag, value, "an unsigned decimal");
+    return v;
+}
+
 } // namespace
 
 const char *
@@ -255,50 +309,6 @@ toString(RunStatus status)
       case RunStatus::Quarantined: return "quarantined";
     }
     return "unknown";
-}
-
-std::size_t
-currentRunIndex()
-{
-    return tlsRunIndex;
-}
-
-std::uint32_t
-currentAttempt()
-{
-    return tlsAttempt;
-}
-
-std::atomic<std::uint64_t> *
-currentRunHeartbeat()
-{
-    return tlsHeartbeat;
-}
-
-const std::atomic<bool> *
-currentRunAbortFlag()
-{
-    return tlsAbortFlag;
-}
-
-ScopedRunWatch::ScopedRunWatch(const std::atomic<bool> *abort,
-                               std::atomic<std::uint64_t> *heartbeat)
-    : prevAbort(tlsAbortFlag), prevHeartbeat(tlsHeartbeat)
-{
-    tlsAbortFlag = abort;
-    tlsHeartbeat = heartbeat;
-}
-
-ScopedRunWatch::~ScopedRunWatch()
-{
-    tlsAbortFlag = prevAbort;
-    tlsHeartbeat = prevHeartbeat;
-}
-
-std::uint64_t
-currentBatchIndex()
-{
-    return activeBatch.load(std::memory_order_relaxed);
 }
 
 void
@@ -379,19 +389,21 @@ usageString()
            "threads; 1 = serial)\n"
            "  --check-interval=N  walk the integrity checker every N "
            "references (0 = off)\n"
-           "  --inject=CLASS[@IDX]  poison run IDX (default 0) of each "
-           "batch with one CLASS fault\n"
-           "               (tag-state, dir-drop, dir-ghost, owner, "
-           "orphan-data, mshr-leak, repl-meta)\n"
-           "  --checkpoint-interval=N  checkpoint each run's full state "
-           "every N references\n"
-           "               (needs --sweep-dir or --resume; 0 = off)\n"
-           "  --sweep-dir=DIR  journal completed runs and keep results/"
+           "  --inject=CLASS[@IDX]  poison every config of job IDX "
+           "(default 0) of each batch\n"
+           "               with one CLASS fault (tag-state, dir-drop, "
+           "dir-ghost, owner,\n"
+           "               orphan-data, mshr-leak, repl-meta)\n"
+           "  --checkpoint-interval=N  checkpoint each one-member job's "
+           "full state every N\n"
+           "               references (needs --sweep-dir or --resume; "
+           "0 = off)\n"
+           "  --sweep-dir=DIR  journal completed jobs and keep results/"
            "checkpoints in DIR\n"
            "  --resume=DIR relaunch a killed sweep from DIR: skip "
-           "journaled runs, restore\n"
-           "               in-flight ones from their latest valid "
-           "checkpoint\n"
+           "journaled jobs, restore\n"
+           "               in-flight one-member jobs from their latest "
+           "valid checkpoint\n"
            "  --hang-timeout=S  abort and quarantine runs making no "
            "forward progress for\n"
            "               S wall seconds (default 300; 0 = off)\n"
@@ -438,44 +450,49 @@ parseArgs(int argc, char **argv)
             return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
         };
         if (const char *v = value("--mixes=")) {
-            opt.mixCount = static_cast<std::uint32_t>(std::atoi(v));
+            opt.mixCount = static_cast<std::uint32_t>(
+                parseCount("--mixes", v, UINT32_MAX));
         } else if (const char *v = value("--scale=")) {
-            opt.scale = static_cast<std::uint32_t>(std::atoi(v));
+            opt.scale = static_cast<std::uint32_t>(
+                parseCount("--scale", v, UINT32_MAX));
         } else if (const char *v = value("--warmup=")) {
-            opt.warmup = static_cast<Cycle>(std::atoll(v));
+            opt.warmup = parseCount("--warmup", v);
         } else if (const char *v = value("--measure=")) {
-            opt.measure = static_cast<Cycle>(std::atoll(v));
+            opt.measure = parseCount("--measure", v);
         } else if (const char *v = value("--seed=")) {
-            opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+            opt.seed = parseCount("--seed", v);
         } else if (const char *v = value("--policy=")) {
             // Resolves through the arena registry: unknown names fatal
             // with a did-you-mean hint and the full spelling list.
             opt.policyKind = arena::parsePolicyName(v);
             opt.policy = arena::policyInfo(opt.policyKind).name;
         } else if (const char *v = value("--jobs=")) {
-            const int jobs = std::atoi(v);
-            if (jobs < 1)
+            opt.jobs = static_cast<std::uint32_t>(
+                parseCount("--jobs", v, UINT32_MAX));
+            if (opt.jobs < 1)
                 fatal("--jobs must be >= 1 (got '%s'); use --jobs=1 for "
                       "the serial path", v);
-            opt.jobs = static_cast<std::uint32_t>(jobs);
         } else if (const char *v = value("--check-interval=")) {
-            opt.checkInterval = static_cast<std::uint64_t>(std::atoll(v));
+            opt.checkInterval = parseCount("--check-interval", v);
         } else if (const char *v = value("--checkpoint-interval=")) {
-            opt.checkpointInterval =
-                static_cast<std::uint64_t>(std::atoll(v));
+            opt.checkpointInterval = parseCount("--checkpoint-interval", v);
         } else if (const char *v = value("--sweep-dir=")) {
             opt.sweepDir = v;
         } else if (const char *v = value("--resume=")) {
             opt.sweepDir = v;
             opt.resume = true;
         } else if (const char *v = value("--hang-timeout=")) {
-            opt.hangTimeout = std::atof(v);
+            char *end = nullptr;
+            opt.hangTimeout = std::strtod(v, &end);
+            if (end == v || *end != '\0' || !std::isfinite(opt.hangTimeout) ||
+                opt.hangTimeout < 0.0)
+                badValue("--hang-timeout", v, "a finite number >= 0");
         } else if (const char *v = value("--telemetry-dir=")) {
             opt.telemetryDir = v;
         } else if (std::strcmp(arg, "--trace-events") == 0) {
             opt.traceEvents = true;
         } else if (const char *v = value("--sample-interval=")) {
-            opt.sampleInterval = static_cast<Cycle>(std::atoll(v));
+            opt.sampleInterval = parseCount("--sample-interval", v);
         } else if (const char *v = value("--feed-cache=")) {
             opt.feedCacheDir = v;
             opt.feedCacheDisabled = false;
@@ -489,9 +506,8 @@ parseArgs(int argc, char **argv)
             std::string spec = v;
             if (const std::size_t at = spec.find('@');
                 at != std::string::npos) {
-                opt.injectRun =
-                    static_cast<std::size_t>(std::atoll(spec.c_str() +
-                                                        at + 1));
+                opt.injectRun = static_cast<std::size_t>(
+                    parseCount("--inject", spec.c_str() + at + 1, SIZE_MAX));
                 spec.resize(at);
             }
             FaultClass cls = FaultClass::TagStateFlip;
@@ -519,8 +535,6 @@ parseArgs(int argc, char **argv)
     if (opt.checkpointInterval != 0 && opt.sweepDir.empty())
         fatal("--checkpoint-interval needs --sweep-dir=DIR or "
               "--resume=DIR to know where to put the checkpoints");
-    if (opt.hangTimeout < 0.0)
-        fatal("--hang-timeout must be >= 0");
     if ((opt.traceEvents || opt.sampleInterval != 0) &&
         opt.telemetryDir.empty())
         fatal("--trace-events and --sample-interval need "
@@ -847,18 +861,18 @@ collect(Cmp &cmp)
     return res;
 }
 
-/** Is the calling thread's run the --inject target, this attempt? */
+/** Is the calling thread's job the --inject target, this attempt? */
 bool
 isInjectTarget(const RunOptions &opt)
 {
     return !opt.injectFault.empty() &&
-           currentRunIndex() == opt.injectRun &&
-           (opt.injectOnRetry || currentAttempt() == 0);
+           tlsRunIndex == opt.injectRun &&
+           (opt.injectOnRetry || tlsAttempt == 0);
 }
 
 /**
  * Cadence for the integrity checker: the explicit --check-interval, or
- * a default one on a poisoned run so the injected fault is actually
+ * a default one on a poisoned job so the injected fault is actually
  * caught mid-run rather than only at quiesce.
  */
 std::uint64_t
@@ -869,19 +883,29 @@ checkCadence(const RunOptions &opt)
     return isInjectTarget(opt) ? 5'000 : 0;
 }
 
+/** Member @p j of an @p n-member job as a file-tag suffix: "" for a
+ *  one-member job, "-m<j>" otherwise. */
+std::string
+memberSuffix(std::size_t j, std::size_t n)
+{
+    return n == 1 ? std::string() : "-m" + std::to_string(j);
+}
+
+/** Poison one member of the --inject target job (see checkCadence). */
 void
-applyInjectedFault(Cmp &cmp, const RunOptions &opt)
+applyInjectedFault(Cmp &cmp, const RunOptions &opt, const std::string &member)
 {
     FaultClass cls = FaultClass::TagStateFlip;
     if (!faultClassFromName(opt.injectFault, cls))
         throwSimError(SimError::Kind::Config,
                       "unknown fault class '%s'",
                       opt.injectFault.c_str());
-    // Per-run seed: deterministic, but distinct targets across runs.
-    FaultInjector injector(opt.seed + currentRunIndex());
+    // Per-job seed: deterministic, but distinct targets across jobs.
+    FaultInjector injector(opt.seed + tlsRunIndex);
     const InjectionResult r = injector.inject(cmp, cls);
-    warn("run %zu attempt %u: inject %s: %s", currentRunIndex(),
-         currentAttempt() + 1, toString(cls), r.detail.c_str());
+    warn("run %zu%s attempt %u: inject %s: %s", tlsRunIndex,
+         member.c_str(), tlsAttempt + 1, toString(cls),
+         r.detail.c_str());
 }
 
 /**
@@ -892,7 +916,7 @@ applyInjectedFault(Cmp &cmp, const RunOptions &opt)
 std::string
 telemetryTag()
 {
-    if (currentRunIndex() == SIZE_MAX) {
+    if (tlsRunIndex == SIZE_MAX) {
         // Benches call runMix outside forEachRun repeatedly (one call
         // per configuration); number those so artifacts never silently
         // overwrite each other.
@@ -902,8 +926,8 @@ telemetryTag()
     }
     char buf[48];
     std::snprintf(buf, sizeof(buf), "b%llu-r%zu",
-                  static_cast<unsigned long long>(currentBatchIndex()),
-                  currentRunIndex());
+                  static_cast<unsigned long long>(activeBatch.load()),
+                  tlsRunIndex);
     return buf;
 }
 
@@ -955,19 +979,183 @@ runDigest(SystemConfig cfg, const Mix &mix, const RunOptions &opt)
 }
 
 /**
- * One simulation run with the full robustness kit: optional resume from
- * a checkpoint, periodic checkpointing, watchdog wiring, integrity
- * cadence, fault injection and the tracker cooldown.  runMix and
- * runParallel differ only in how the Cmp is built and in the request
- * @p digest their checkpoints and hang dumps carry.
+ * Restore one run's resumable state (the writeRunState() layout) from
+ * @p path into @p cmp and @p sampler, then hold the restored system to
+ * the integrity checker: a checkpoint that restores into an
+ * inconsistent system is as unusable as one that fails its CRC.  A file
+ * of another run (request @p digest) or another sampling interval
+ * throws SimError(Snapshot).
+ * @return the saved phase (0 = warmup, 1 = measurement).
  */
-RunResult
-executeRun(std::uint64_t digest,
-           const std::function<std::unique_ptr<Cmp>()> &make_cmp,
-           const RunOptions &opt, GenerationTracker *tracker,
-           Cycle *win_start, Cycle *win_end)
+std::uint32_t
+readRunState(Cmp &cmp, std::uint64_t digest, const RunOptions &opt,
+             EpochSampler *sampler, const std::string &path)
 {
-    std::unique_ptr<Cmp> sim = make_cmp();
+    Deserializer d(path);
+    d.beginSection("run");
+    d.beginSection("harness");
+    const std::uint32_t phase = d.getU32();
+    const std::uint64_t savedDigest = d.getU64();
+    const std::uint64_t sampleEvery = d.getU64();
+    if (phase > 1)
+        throwSimError(SimError::Kind::Snapshot,
+                      "checkpoint '%s' carries unknown phase %u",
+                      path.c_str(), phase);
+    if (savedDigest != digest)
+        throwSimError(SimError::Kind::Snapshot,
+                      "checkpoint '%s' belongs to another run "
+                      "(request digest %s, this run %s)",
+                      path.c_str(), digestHex(savedDigest).c_str(),
+                      digestHex(digest).c_str());
+    if (sampleEvery != opt.sampleInterval)
+        throwSimError(SimError::Kind::Snapshot,
+                      "checkpoint '%s' was taken with sample interval %llu",
+                      path.c_str(),
+                      static_cast<unsigned long long>(sampleEvery));
+    d.endSection("harness");
+    d.beginSection("cmp");
+    cmp.restore(d);
+    d.endSection("cmp");
+    d.beginSection("telemetry");
+    if (d.getBool() != (sampler != nullptr))
+        throwSimError(SimError::Kind::Snapshot,
+                      "checkpoint '%s' and this run disagree on epoch "
+                      "sampling", path.c_str());
+    if (sampler)
+        sampler->restore(d);
+    d.endSection("telemetry");
+    d.endSection("run");
+    IntegrityChecker(cmp).enforce(cmp.now());
+    return phase;
+}
+
+/** The simulator a job runs on. */
+enum class Engine : std::uint8_t
+{
+    Plain,  //!< one Cmp, stepped reference by reference
+    Fanout, //!< one FanoutCmp: N back ends behind one shared front end
+};
+
+/**
+ * The engine of a grid job or a daemon request, picked by what the job
+ * is.  A prefetching config runs on a plain Cmp (its prefetcher state
+ * lives in front of the fan-out split), and so does a job with one
+ * member and no feed cache: it has nothing to share and would only pay
+ * for the feed window and the lockstep.  Every other job shares one
+ * front end.
+ */
+Engine
+engineFor(const std::vector<SystemConfig> &cfgs, const RunOptions &opt)
+{
+    const bool plain = cfgs.front().prefetch.enable ||
+                       (cfgs.size() == 1 && opt.feedCacheDir.empty());
+    return plain ? Engine::Plain : Engine::Fanout;
+}
+
+/** Builds @p mix's per-core streams under @p opt's seed and scale. */
+StreamFactory
+mixStreams(const Mix &mix, const RunOptions &opt)
+{
+    return [&mix, &opt] { return buildMixStreams(mix, opt.seed, opt.scale); };
+}
+
+/**
+ * A job's telemetry sessions, one per member.  Each session makes its
+ * tracer the thread's current one and hands back its predecessor's when
+ * it closes, so they close newest first.
+ */
+struct MemberTelemetry
+{
+    std::vector<std::unique_ptr<TelemetrySession>> sessions;
+
+    ~MemberTelemetry() { close(); }
+    void close()
+    {
+        while (!sessions.empty())
+            sessions.pop_back();
+    }
+    TelemetrySession *at(std::size_t j) const
+    {
+        return j < sessions.size() ? sessions[j].get() : nullptr;
+    }
+};
+
+/**
+ * The harness's one job executor: simulate @p mix (whose per-core
+ * streams @p streams builds) on every config in @p cfgs, on @p engine.
+ *
+ * Every member gets a telemetry session (tagged <run> for one member,
+ * <run>-m<j> otherwise), the integrity cadence, the watchdog heartbeat
+ * and abort flag and, in the --inject target job, the fault after
+ * warmup.  The fan-out engine looks its front end up in the feed cache.
+ * The plain engine alone takes periodic checkpoints, restores from one
+ * on resume, leaves a state dump when the watchdog aborts it and runs
+ * the tracker cooldown: a fan-out member cannot be restored into, and
+ * its express state is lazy mid-slice, so it has nothing consistent to
+ * save.  A fan-out job resumes whole, from its journal record or from
+ * scratch.
+ * @return one RunResult per config, in order.
+ */
+std::vector<RunResult>
+executeJob(Engine engine, std::vector<SystemConfig> cfgs, const Mix &mix,
+           const StreamFactory &streams, const RunOptions &opt,
+           GenerationTracker *tracker = nullptr, Cycle *win_start = nullptr,
+           Cycle *win_end = nullptr)
+{
+    const bool plain = engine == Engine::Plain;
+    RC_ASSERT(!cfgs.empty() && (plain ? cfgs.size() == 1 : !tracker),
+              "a plain job has one member; only it takes a tracker");
+    for (SystemConfig &c : cfgs)
+        c.seed = opt.seed;
+
+    // Feed-cache protocol (fan-out, --feed-cache=DIR): the front end's
+    // record streams depend only on (front-end prefix, mix, seed, scale,
+    // windows), which every member shares, so one lookup covers the
+    // whole job.  Warm hit: replay zero-copy from the blob.  Miss: take
+    // the key's flock lease so concurrent processes racing the same cold
+    // key serialize (the loser wakes to a warm re-lookup), capture the
+    // front end while simulating, and store it after the run.  Either
+    // way the results are bit-identical to an uncached pass; any cache
+    // failure demotes to exactly that.
+    std::shared_ptr<FeedCache> fc;
+    if (!plain && !opt.feedCacheDir.empty()) {
+        try {
+            fc = FeedCache::open(opt.feedCacheDir);
+        } catch (const SimError &e) {
+            warn("feed cache disabled for this run: %s", e.what());
+        }
+    }
+    FeedKey key;
+    std::shared_ptr<const FeedBlob> blob;
+    std::unique_ptr<BlobLease> lease;
+    if (fc) {
+        key = feedKeyOf(cfgs.front(), mix, opt.seed, opt.scale, opt.warmup,
+                        opt.measure);
+        blob = fc->lookup(key);
+        if (!blob) {
+            lease = fc->lockKey(key.digest);
+            if (lease)
+                blob = fc->lookup(key); // did the lease holder store it?
+        }
+    }
+    const bool capture = fc != nullptr && blob == nullptr;
+
+    std::unique_ptr<Cmp> solo;      // the plain engine's system
+    std::unique_ptr<FanoutCmp> fan; // the fan-out engine's systems
+    std::vector<Cmp *> members;
+    const auto build = [&] {
+        members.clear();
+        if (plain) {
+            solo = std::make_unique<Cmp>(cfgs.front(), streams());
+            members.push_back(solo.get());
+            return;
+        }
+        fan = std::make_unique<FanoutCmp>(cfgs, streams, blob, capture);
+        for (std::size_t j = 0; j < fan->size(); ++j)
+            members.push_back(&fan->member(j));
+    };
+    build();
+    const std::size_t n = members.size();
 
     // Quarantine-retry hygiene: a tracker that stayed attached across a
     // failed attempt holds that attempt's history; start it clean so a
@@ -975,137 +1163,84 @@ executeRun(std::uint64_t digest,
     if (tracker)
         tracker->reset();
 
-    const bool wantCheckpoints =
-        opt.checkpointInterval != 0 && !opt.sweepDir.empty();
-    if (wantCheckpoints && tracker)
-        warn("run %zu: checkpointing disabled, a generation tracker is "
-             "attached (observer history is not simulated state)",
-             currentRunIndex());
+    // Checkpoints and hang dumps live under the sweep directory and
+    // carry the run's request digest.
+    const bool persist = plain && !opt.sweepDir.empty();
+    const std::uint64_t digest =
+        persist ? runDigest(cfgs.front(), mix, opt) : 0;
     std::string ckptPath;
-    if (wantCheckpoints && !tracker) {
-        ensureDir(opt.sweepDir);
-        ckptPath = runFilePath(opt.sweepDir, "ckpt", currentBatchIndex(),
-                               currentRunIndex(), "ckpt");
+    if (persist && opt.checkpointInterval != 0) {
+        if (tracker) {
+            warn("run %zu: checkpointing disabled, a generation tracker "
+                 "is attached (observer history is not simulated state)",
+                 tlsRunIndex);
+        } else {
+            ensureDir(opt.sweepDir);
+            ckptPath = runFilePath(opt.sweepDir, "ckpt", activeBatch.load(),
+                                   tlsRunIndex, "ckpt");
+        }
     }
 
-    // The telemetry session precedes the restore attempt: a resumed run
+    // The telemetry sessions precede the restore attempt: a resumed run
     // must restore its sampler baselines from the checkpoint before the
     // sample hook is installed.
     TelemetryConfig tcfg;
     tcfg.dir = opt.telemetryDir;
     tcfg.traceEvents = opt.traceEvents;
     tcfg.sampleInterval = opt.sampleInterval;
-    std::unique_ptr<TelemetrySession> telemetry;
     const std::string ttag = tcfg.enabled() ? telemetryTag() : "";
-    if (tcfg.enabled())
-        telemetry = std::make_unique<TelemetrySession>(tcfg, ttag);
-    EventTracer *tracer = telemetry ? telemetry->tracer() : nullptr;
-    EpochSampler *sampler = telemetry ? telemetry->sampler() : nullptr;
-    if (tracer)
-        tracer->recordHost("run.attempt", 0, 0, currentAttempt() + 1);
+    MemberTelemetry telemetry;
+    const auto openTelemetry = [&] {
+        telemetry.close();
+        for (std::size_t j = 0; tcfg.enabled() && j < n; ++j) {
+            telemetry.sessions.push_back(std::make_unique<TelemetrySession>(
+                tcfg, ttag + memberSuffix(j, n)));
+            if (EventTracer *t = telemetry.sessions.back()->tracer())
+                t->recordHost("run.attempt", 0, 0, tlsAttempt + 1);
+        }
+    };
+    openTelemetry();
+    const auto sampler0 = [&] {
+        return telemetry.at(0) ? telemetry.at(0)->sampler() : nullptr;
+    };
 
     // Resume: restore from the run's checkpoint when one exists; any
     // snapshot error falls back to a from-scratch execution.
     std::uint32_t phase = 0; // 0 = warmup, 1 = measurement
     if (opt.resume && !ckptPath.empty() && fileExists(ckptPath)) {
         try {
-            Deserializer d(ckptPath);
-            d.beginSection("run");
-            d.beginSection("harness");
-            const std::uint32_t savedPhase = d.getU32();
-            const std::uint64_t savedDigest = d.getU64();
-            const std::uint64_t sampleEvery = d.getU64();
-            if (savedPhase > 1)
-                throwSimError(SimError::Kind::Snapshot,
-                              "checkpoint '%s' carries unknown phase %u",
-                              ckptPath.c_str(), savedPhase);
-            if (savedDigest != digest)
-                throwSimError(SimError::Kind::Snapshot,
-                              "checkpoint '%s' belongs to another run "
-                              "(request digest %s, this run %s)",
-                              ckptPath.c_str(),
-                              digestHex(savedDigest).c_str(),
-                              digestHex(digest).c_str());
-            if (sampleEvery != opt.sampleInterval)
-                throwSimError(SimError::Kind::Snapshot,
-                              "checkpoint '%s' was taken with sample "
-                              "interval %llu",
-                              ckptPath.c_str(),
-                              static_cast<unsigned long long>(sampleEvery));
-            d.endSection("harness");
-            d.beginSection("cmp");
-            sim->restore(d);
-            d.endSection("cmp");
-            d.beginSection("telemetry");
-            const bool hasSampler = d.getBool();
-            if (hasSampler != (sampler != nullptr))
-                throwSimError(SimError::Kind::Snapshot,
-                              "checkpoint '%s' and this run disagree on "
-                              "epoch sampling", ckptPath.c_str());
-            if (sampler)
-                sampler->restore(d);
-            d.endSection("telemetry");
-            d.endSection("run");
-            // A checkpoint that restores into an inconsistent system is
-            // as unusable as one that fails its CRC.
-            IntegrityChecker(*sim).enforce(sim->now());
-            phase = savedPhase;
+            phase = readRunState(*solo, digest, opt, sampler0(), ckptPath);
             warn("run %zu: resumed from '%s' (phase %u, %llu references "
-                 "already simulated)", currentRunIndex(), ckptPath.c_str(),
+                 "already simulated)", tlsRunIndex, ckptPath.c_str(),
                  phase,
                  static_cast<unsigned long long>(
-                     sim->referencesProcessed()));
+                     solo->referencesProcessed()));
         } catch (const SimError &err) {
             warn("run %zu: checkpoint '%s' unusable: %s -- restarting "
-                 "the run from scratch", currentRunIndex(),
+                 "the run from scratch", tlsRunIndex,
                  ckptPath.c_str(), err.what());
-            sim = make_cmp();
+            // A failed restore may have half-filled the system and the
+            // sampler; rebuild both so the run starts pristine.
+            build();
             phase = 0;
-            if (telemetry) {
-                // A failed restore may have half-filled the sampler;
-                // rebuild the session so the run starts pristine.
-                telemetry.reset();
-                telemetry = std::make_unique<TelemetrySession>(tcfg, ttag);
-                tracer = telemetry->tracer();
-                sampler = telemetry->sampler();
-                if (tracer)
-                    tracer->recordHost("run.attempt", 0, 0,
-                                       currentAttempt() + 1);
-            }
+            openTelemetry();
         }
     }
+    EventTracer *tracer = telemetry.at(0) ? telemetry.at(0)->tracer() : nullptr;
+    EpochSampler *sampler = sampler0();
 
-    Cmp &cmp = *sim;
-    if (telemetry)
-        telemetry->attach(cmp);
-    if (tracker)
-        cmp.llc().setObserver(tracker);
-    IntegrityChecker checker(cmp);
-    const std::uint64_t cadence = checkCadence(opt);
-    if (cadence != 0)
-        cmp.setCheckHook(cadence, [&checker](const Cmp &, Cycle now) {
-            checker.enforce(now);
-        });
-
-    // Watchdog wiring: publish forward progress, honor the abort flag,
-    // and leave a diagnostic state dump behind when aborted.
-    if (const std::atomic<bool> *abort_flag = currentRunAbortFlag()) {
-        cmp.setProgressCounter(currentRunHeartbeat());
-        std::string dumpPath;
-        if (!opt.sweepDir.empty()) {
-            ensureDir(opt.sweepDir);
-            dumpPath = runFilePath(opt.sweepDir, "hang",
-                                   currentBatchIndex(), currentRunIndex(),
-                                   "dump");
-        }
-        cmp.setAbortFlag(abort_flag, [&opt, &phase, digest, sampler,
-                                      dumpPath](const Cmp &c) {
-            if (dumpPath.empty())
-                return;
+    // The plain engine leaves a diagnostic state dump behind when the
+    // watchdog aborts it.
+    std::function<void(const Cmp &)> dump;
+    if (persist && tlsAbortFlag) {
+        ensureDir(opt.sweepDir);
+        dump = [&opt, &phase, digest, sampler,
+                path = runFilePath(opt.sweepDir, "hang", activeBatch.load(),
+                                   tlsRunIndex, "dump")](const Cmp &c) {
             try {
-                writeRunState(c, phase, digest, opt, sampler, dumpPath);
+                writeRunState(c, phase, digest, opt, sampler, path);
                 warn("watchdog: diagnostic state dump written to '%s'",
-                     dumpPath.c_str());
+                     path.c_str());
                 // A sweep that keeps tripping its watchdog across
                 // relaunches must not fill the disk with diagnostics.
                 pruneHangDumps(opt.sweepDir, opt.hangDumpKeep);
@@ -1113,15 +1248,40 @@ executeRun(std::uint64_t digest,
                 warn("watchdog: cannot write the state dump: %s",
                      err.what());
             }
-        });
+        };
     }
+
+    // Per-member wiring: telemetry, the integrity cadence and the
+    // watchdog.  Every member publishes into the job's one heartbeat
+    // (members advance in lockstep on one thread, so any member's
+    // progress is the job's) and honors its abort flag.
+    const std::uint64_t cadence = checkCadence(opt);
+    std::vector<std::unique_ptr<IntegrityChecker>> checkers;
+    for (std::size_t j = 0; j < n; ++j) {
+        Cmp &m = *members[j];
+        if (TelemetrySession *ts = telemetry.at(j))
+            ts->attach(m);
+        if (cadence != 0) {
+            checkers.push_back(std::make_unique<IntegrityChecker>(m));
+            m.setCheckHook(cadence, [ck = checkers.back().get()](
+                                        const Cmp &, Cycle now) {
+                ck->enforce(now);
+            });
+        }
+        if (tlsAbortFlag) {
+            m.setProgressCounter(tlsHeartbeat);
+            m.setAbortFlag(tlsAbortFlag, dump);
+        }
+    }
+    if (tracker)
+        solo->llc().setObserver(tracker);
 
     // Periodic checkpoints, plus the simulated-crash test hook (which
     // dies right after a checkpoint landed, like a kill -9 would).
     if (!ckptPath.empty())
-        cmp.setSnapshotHook(opt.checkpointInterval,
-                            [&opt, &phase, digest, sampler, tracer,
-                             ckptPath](const Cmp &c, Cycle) {
+        solo->setSnapshotHook(opt.checkpointInterval,
+                              [&opt, &phase, digest, sampler, tracer,
+                               ckptPath](const Cmp &c, Cycle) {
             const std::uint64_t t0 = tracer ? tracer->hostNowMicros() : 0;
             writeRunState(c, phase, digest, opt, sampler, ckptPath);
             if (tracer)
@@ -1136,183 +1296,65 @@ executeRun(std::uint64_t digest,
                                   c.referencesProcessed()));
         });
 
+    // Advance every member, as host phase @p name on every trace.
+    const auto runPhase = [&](const char *name, Cycle cycles) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fan ? fan->run(cycles) : solo->run(cycles);
+        const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+        for (const auto &ts : telemetry.sessions)
+            if (EventTracer *t = ts->tracer())
+                t->recordHost(name, 0, static_cast<std::uint64_t>(us));
+    };
     if (phase == 0) {
-        const std::uint64_t warm0 = tracer ? tracer->hostNowMicros() : 0;
-        cmp.run(opt.warmup);
-        if (tracer)
-            tracer->recordHost("run.warmup", 0,
-                               tracer->hostNowMicros() - warm0);
+        runPhase("run.warmup", opt.warmup);
         if (isInjectTarget(opt))
-            applyInjectedFault(cmp, opt);
-        cmp.beginMeasurement();
+            for (std::size_t j = 0; j < n; ++j)
+                applyInjectedFault(*members[j], opt, memberSuffix(j, n));
+        fan ? fan->beginMeasurement() : solo->beginMeasurement();
         phase = 1;
-        if (win_start)
-            *win_start = cmp.now();
-        const std::uint64_t meas0 = tracer ? tracer->hostNowMicros() : 0;
-        cmp.run(opt.measure);
-        if (tracer)
-            tracer->recordHost("run.measure", 0,
-                               tracer->hostNowMicros() - meas0);
-    } else {
-        // Mid-measurement restore: warmup, injection and the counter
-        // snapshots already happened before the checkpoint; re-running
-        // run(measure) continues to the identical horizon because the
-        // loop end is computed from the restored pre-measurement
-        // horizon.
-        if (win_start)
-            *win_start = cmp.measurementStart();
-        const std::uint64_t meas0 = tracer ? tracer->hostNowMicros() : 0;
-        cmp.run(opt.measure);
-        if (tracer)
-            tracer->recordHost("run.measure", 0,
-                               tracer->hostNowMicros() - meas0);
     }
+    // A run restored mid-measurement did its warmup, injection and
+    // counter snapshots before the checkpoint; run(measure) continues
+    // to the identical horizon because the loop end is computed from
+    // the restored pre-measurement horizon.
+    if (win_start)
+        *win_start = members[0]->measurementStart();
+    runPhase("run.measure", opt.measure);
     if (win_end)
-        *win_end = cmp.now();
-    const RunResult res = collect(cmp);
+        *win_end = members[0]->now();
+
+    std::vector<RunResult> res;
+    for (Cmp *m : members)
+        res.push_back(collect(*m));
     if (tracker) {
         // Cooldown: liveness is future knowledge ("will this line be
         // hit again?"), so keep simulating past the reported window;
         // otherwise every line looks dead near the window's end.
-        cmp.run(opt.measure / 2);
-        tracker->finalize(cmp.now());
+        solo->run(opt.measure / 2);
+        tracker->finalize(solo->now());
         if (sampler) {
             // Emit the residual epoch now (finalize()'s own finish() is
             // then a no-op) so the cooldown row gets a live fraction.
-            sampler->finish(cmp, cmp.now());
+            sampler->finish(*solo, solo->now());
             sampler->attachLiveFractions(tracker->records(),
-                                         cmp.llc().dataLinesTotal());
+                                         solo->llc().dataLinesTotal());
         }
     }
-    if (telemetry)
-        telemetry->finalize(cmp, cmp.now());
-    if (cadence != 0)
-        checker.enforceQuiesce(cmp.now());
+    for (std::size_t j = 0; j < telemetry.sessions.size(); ++j)
+        telemetry.sessions[j]->finalize(*members[j], members[j]->now());
+    for (std::size_t j = 0; j < checkers.size(); ++j)
+        checkers[j]->enforceQuiesce(members[j]->now());
     if (!ckptPath.empty())
         std::remove(ckptPath.c_str());
-    return res;
-}
-
-/**
- * One fan-out job: simulate @p mix on every config through one shared
- * front end.  Telemetry, integrity checking and watchdog wiring are
- * installed per member, so each back end's artifacts and checks match
- * an independent run's.  The heavier robustness kit (checkpoint files,
- * resume, fault injection) is handled by the caller falling back to
- * independent executeRun jobs — see runConfigsOverMixes().
- */
-std::vector<RunResult>
-executeFanout(const std::vector<SystemConfig> &sys_cfgs, const Mix &mix,
-              const RunOptions &opt)
-{
-    std::vector<SystemConfig> cfgs = sys_cfgs;
-    for (SystemConfig &c : cfgs)
-        c.seed = opt.seed;
-
-    // Feed-cache protocol (--feed-cache=DIR): the front end's record
-    // streams depend only on (front-end prefix, mix, seed, scale,
-    // windows), which every member shares, so one lookup covers the
-    // whole job.  Warm hit: replay zero-copy from the blob.  Miss:
-    // take the key's flock lease so concurrent processes racing the
-    // same cold key serialize (the loser wakes to a warm re-lookup),
-    // capture the front end while simulating, and store it after the
-    // run.  Either way the results are bit-identical to an uncached
-    // pass; any cache failure demotes to exactly that.
-    std::shared_ptr<FeedCache> fc;
-    if (!opt.feedCacheDir.empty()) {
-        try {
-            fc = FeedCache::open(opt.feedCacheDir);
-        } catch (const SimError &e) {
-            warn("feed cache disabled for this run: %s", e.what());
-        }
-    }
-    FeedKey key;
-    std::shared_ptr<const FeedBlob> blob;
-    std::unique_ptr<BlobLease> lease;
-    if (fc) {
-        key = feedKeyOf(cfgs.front(), mix, opt.seed, opt.scale,
-                        opt.warmup, opt.measure);
-        blob = fc->lookup(key);
-        if (!blob) {
-            lease = fc->lockKey(key.digest);
-            if (lease)
-                blob = fc->lookup(key); // did the lease holder store it?
-        }
-    }
-    const bool capture = fc != nullptr && blob == nullptr;
-
-    FanoutCmp fan(cfgs,
-                  [&mix, &opt] {
-                      return buildMixStreams(mix, opt.seed, opt.scale);
-                  },
-                  blob, capture);
-    const std::size_t n = fan.size();
-
-    // Per-member telemetry: one session per back end, tagged
-    // <runtag>-m<member> so a fan-out sweep's artifacts line up with
-    // the member order.
-    TelemetryConfig tcfg;
-    tcfg.dir = opt.telemetryDir;
-    tcfg.traceEvents = opt.traceEvents;
-    tcfg.sampleInterval = opt.sampleInterval;
-    std::vector<std::unique_ptr<TelemetrySession>> telemetry;
-    if (tcfg.enabled()) {
-        const std::string base = telemetryTag();
-        for (std::size_t j = 0; j < n; ++j) {
-            telemetry.push_back(std::make_unique<TelemetrySession>(
-                tcfg, base + "-m" + std::to_string(j)));
-            telemetry.back()->attach(fan.member(j));
-            if (EventTracer *tracer = telemetry.back()->tracer())
-                tracer->recordHost("run.attempt", 0, 0,
-                                   currentAttempt() + 1);
-        }
-    }
-
-    // Per-member integrity cadence (fan-out never injects faults, so
-    // only the explicit --check-interval applies).
-    std::vector<std::unique_ptr<IntegrityChecker>> checkers;
-    if (opt.checkInterval != 0) {
-        for (std::size_t j = 0; j < n; ++j) {
-            checkers.push_back(
-                std::make_unique<IntegrityChecker>(fan.member(j)));
-            IntegrityChecker *ck = checkers.back().get();
-            fan.member(j).setCheckHook(
-                opt.checkInterval,
-                [ck](const Cmp &, Cycle now) { ck->enforce(now); });
-        }
-    }
-
-    // Watchdog wiring: every member publishes into the run's shared
-    // heartbeat (members advance in lockstep on one thread, so any
-    // member's progress is the job's progress) and honors the abort.
-    // No state dump: a member's express state is lazy mid-slice, and
-    // the burst loop asserts that no dump is installed.
-    if (const std::atomic<bool> *abort_flag = currentRunAbortFlag()) {
-        for (std::size_t j = 0; j < n; ++j) {
-            fan.member(j).setProgressCounter(currentRunHeartbeat());
-            fan.member(j).setAbortFlag(abort_flag);
-        }
-    }
-
-    fan.run(opt.warmup);
-    fan.beginMeasurement();
-    fan.run(opt.measure);
-
-    std::vector<RunResult> res;
-    res.reserve(n);
-    for (std::size_t j = 0; j < n; ++j)
-        res.push_back(collect(fan.member(j)));
-    for (std::size_t j = 0; j < telemetry.size(); ++j)
-        telemetry[j]->finalize(fan.member(j), fan.member(j).now());
-    for (std::size_t j = 0; j < checkers.size(); ++j)
-        checkers[j]->enforceQuiesce(fan.member(j).now());
 
     if (capture) {
         // Persist after the results are in hand: a store failure (disk
         // full, torn directory) costs the next run its warm hit, never
         // this run its answer.
         try {
-            fc->store(key, fan.sharedFeed());
+            fc->store(key, fan->sharedFeed());
         } catch (const SimError &e) {
             warn("feed cache store failed (run unaffected): %s",
                  e.what());
@@ -1327,37 +1369,23 @@ RunResult
 runMix(const SystemConfig &sys, const Mix &mix, const RunOptions &opt,
        GenerationTracker *tracker, Cycle *win_start, Cycle *win_end)
 {
-    SystemConfig cfg = sys;
-    cfg.seed = opt.seed;
-    // Checkpoints and hang dumps live under the sweep directory, so the
-    // digest they carry is computed only when there is one.
-    return executeRun(opt.sweepDir.empty() ? 0 : runDigest(cfg, mix, opt),
-                      [&] {
-                          return std::make_unique<Cmp>(
-                              cfg, buildMixStreams(mix, opt.seed,
-                                                   opt.scale));
-                      },
-                      opt, tracker, win_start, win_end);
+    return executeJob(Engine::Plain, {sys}, mix, mixStreams(mix, opt), opt,
+                      tracker, win_start, win_end)
+        .front();
 }
 
 RunResult
 runParallel(const SystemConfig &sys, const AppProfile &app,
             const RunOptions &opt)
 {
-    SystemConfig cfg = sys;
-    cfg.seed = opt.seed;
-    // Keyed like a one-application mix: the config, the app's name and
-    // the run options.
-    return executeRun(opt.sweepDir.empty()
-                          ? 0
-                          : runDigest(cfg, Mix{{app.name}}, opt),
+    // Named like a one-application mix in its request digest.
+    return executeJob(Engine::Plain, {sys}, Mix{{app.name}},
                       [&] {
-                          return std::make_unique<Cmp>(
-                              cfg, buildParallelStreams(app, cfg.numCores,
-                                                        opt.seed,
-                                                        opt.scale));
+                          return buildParallelStreams(app, sys.numCores,
+                                                      opt.seed, opt.scale);
                       },
-                      opt, nullptr, nullptr, nullptr);
+                      opt)
+        .front();
 }
 
 // RunResult's field-level serialization moved to src/sim/run_result.cc
@@ -1369,7 +1397,7 @@ runMixFanout(const std::vector<SystemConfig> &cfgs, const Mix &mix,
              const RunOptions &opt)
 {
     RC_ASSERT(!cfgs.empty(), "runMixFanout needs at least one config");
-    return executeFanout(cfgs, mix, opt);
+    return executeJob(Engine::Fanout, cfgs, mix, mixStreams(mix, opt), opt);
 }
 
 std::vector<std::vector<RunResult>>
@@ -1398,15 +1426,8 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
             groups.push_back({i});
     }
 
-    // Fan-out needs the plain execution kit: checkpoint files, resume
-    // and fault injection address individual runs, so those sweeps keep
-    // one job per (config, mix).  Prefetching state lives in front of
-    // the split and disqualifies the group entirely.
-    const bool fanoutOk = opt.sweepDir.empty() && !opt.resume &&
-                          opt.injectFault.empty() &&
-                          opt.crashAfterRefs == 0 &&
-                          opt.livelockRun == SIZE_MAX;
-
+    // One job per (group, mix).  Prefetcher state lives in front of the
+    // fan-out split, so a prefetching group runs one job per config.
     struct Job
     {
         std::vector<std::size_t> members; //!< config indices
@@ -1414,20 +1435,13 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
     };
     std::vector<Job> jobs;
     for (const std::vector<std::size_t> &g : groups) {
-        // Single-member jobs normally take the plain runMix path
-        // (fan-out buys nothing), but with a feed cache attached the
-        // fan-out path is where replay lives — route them through it so
-        // single-config sweeps (table5-style baselines) go SLLC-only on
-        // warm keys too.
-        const bool fanout = fanoutOk && !cfgs[g.front()].prefetch.enable &&
-                            (g.size() >= 2 || !opt.feedCacheDir.empty());
         for (std::size_t m = 0; m < mixes.size(); ++m) {
-            if (fanout) {
+            if (!cfgs[g.front()].prefetch.enable) {
                 jobs.push_back(Job{g, m});
-            } else {
-                for (std::size_t i : g)
-                    jobs.push_back(Job{{i}, m});
+                continue;
             }
+            for (std::size_t i : g)
+                jobs.push_back(Job{{i}, m});
         }
     }
 
@@ -1468,19 +1482,17 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
 
     forEachRun(jobs.size(), opt, [&](std::size_t j) {
         const Job &job = jobs[j];
-        if (job.members.size() == 1 && opt.feedCacheDir.empty()) {
-            results[job.members.front()][job.mix] =
-                runMix(cfgs[job.members.front()], mixes[job.mix], opt);
-        } else {
-            std::vector<SystemConfig> group;
-            group.reserve(job.members.size());
-            for (std::size_t i : job.members)
-                group.push_back(cfgs[i]);
-            const std::vector<RunResult> r =
-                executeFanout(group, mixes[job.mix], opt);
-            for (std::size_t k = 0; k < job.members.size(); ++k)
-                results[job.members[k]][job.mix] = r[k];
-        }
+        std::vector<SystemConfig> members;
+        members.reserve(job.members.size());
+        for (std::size_t i : job.members)
+            members.push_back(cfgs[i]);
+        const Mix &mix = mixes[job.mix];
+        const Engine engine = engineFor(members, opt);
+        const std::vector<RunResult> r =
+            executeJob(engine, std::move(members), mix, mixStreams(mix, opt),
+                       opt);
+        for (std::size_t k = 0; k < job.members.size(); ++k)
+            results[job.members[k]][job.mix] = r[k];
     }, &codec);
     return results;
 }
@@ -1564,14 +1576,13 @@ simulateRequest(const svc::RunRequest &req, const std::atomic<bool> *abort,
     // heartbeat); with both null this is a plain deterministic run —
     // the client's in-process fallback path — and bit-identical.
     ScopedRunWatch watch(abort, heartbeat);
-    // With a feed cache, route through a single-member fan-out job so
-    // the request's front end can replay from (or populate) the shared
-    // blob; runMixFanout is bit-identical to runMix for one member.
-    // Prefetching keeps state in front of the classify split and stays
-    // on the plain path.
-    if (!opt.feedCacheDir.empty() && !req.config.prefetch.enable)
-        return runMixFanout({req.config}, req.mix, opt).front();
-    return runMix(req.config, req.mix, opt);
+    // A request is a one-member job: with a feed cache it takes the
+    // fan-out engine, whose front end replays from (or populates) the
+    // shared blob.  Either engine gives bit-identical results.
+    const std::vector<SystemConfig> cfgs = {req.config};
+    return executeJob(engineFor(cfgs, opt), cfgs, req.mix,
+                      mixStreams(req.mix, opt), opt)
+        .front();
 }
 
 } // namespace rc::bench

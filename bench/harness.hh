@@ -3,7 +3,9 @@
  * Shared benchmark harness: option parsing, simulation runners and
  * speedup aggregation used by every per-figure/per-table bench binary.
  *
- * Common flags (all optional):
+ * Common flags (all optional; a numeric value must be an unsigned
+ * decimal, or for --hang-timeout a finite number >= 0, else the usage
+ * string prints and the process ends):
  *   --mixes=N     multiprogrammed workloads per experiment (default 5)
  *   --scale=N     capacity divisor, 1 = paper-size caches (default 8)
  *   --warmup=N    warmup cycles (default 3M)
@@ -17,16 +19,18 @@
  *                 1 forces the legacy serial path)
  *   --check-interval=N  run the integrity checker every N references
  *                 and at end-of-run (0 = off, the default)
- *   --inject=CLASS[@IDX]  poison run IDX (default 0) of each batch with
- *                 one fault of CLASS (tag-state, dir-drop, dir-ghost,
- *                 owner, orphan-data, mshr-leak, repl-meta) after
- *                 warmup — exercises the quarantine path
- *   --checkpoint-interval=N  persist every run's full simulated state
- *                 every N references (needs --sweep-dir or --resume)
- *   --sweep-dir=DIR  journal completed runs and persist results/
+ *   --inject=CLASS[@IDX]  poison every config of job IDX (default 0)
+ *                 of each batch with one fault of CLASS (tag-state,
+ *                 dir-drop, dir-ghost, owner, orphan-data, mshr-leak,
+ *                 repl-meta) after warmup — exercises the quarantine path
+ *   --checkpoint-interval=N  persist every one-member job's full
+ *                 simulated state every N references (needs --sweep-dir
+ *                 or --resume)
+ *   --sweep-dir=DIR  journal completed jobs and persist results/
  *                 checkpoints under DIR
- *   --resume=DIR  relaunch a killed sweep: skip journaled runs, restore
- *                 in-flight ones from their latest valid checkpoint
+ *   --resume=DIR  relaunch a killed sweep: skip journaled jobs, restore
+ *                 in-flight one-member jobs from their latest valid
+ *                 checkpoint and re-run the others from scratch
  *   --hang-timeout=S  abort + quarantine runs making no forward
  *                 progress for S wall seconds (default 300; 0 = off)
  *   --telemetry-dir=DIR  write per-run telemetry artifacts under DIR
@@ -114,11 +118,12 @@ struct RunOptions
 
     /**
      * Fault class to inject ("" = none); see --inject above for the
-     * spellings.  The fault is applied after warmup of run injectRun.
+     * spellings.  The fault is applied after warmup to every member of
+     * job injectRun.
      */
     std::string injectFault;
 
-    /** Batch-local index of the run to poison. */
+    /** Batch-local index of the job to poison. */
     std::size_t injectRun = 0;
 
     /**
@@ -130,13 +135,15 @@ struct RunOptions
 
     /**
      * Checkpoint cadence in references (0 = off).  When set together
-     * with sweepDir, every run persists its full simulated state to
-     * `<sweepDir>/ckpt-b<batch>-r<run>.ckpt` every N references, at a
-     * quiescent point, so a killed sweep can resume mid-run.  The file
-     * carries the run's request digest (svc::requestDigest), and a
-     * resumed run restores only a checkpoint with its own digest.
-     * Ignored (with a warning) when a GenerationTracker is attached:
-     * observer history is not part of the simulated state.
+     * with sweepDir, every one-member job (the plain engine) persists
+     * its full simulated state to `<sweepDir>/ckpt-b<batch>-r<run>.ckpt`
+     * every N references, at a quiescent point, so a killed sweep can
+     * resume mid-run.  The file carries the run's request digest
+     * (svc::requestDigest), and a resumed run restores only a checkpoint
+     * with its own digest.  Fan-out jobs take no checkpoints: they
+     * resume per job.  Ignored (with a warning) when a
+     * GenerationTracker is attached: observer history is not part of
+     * the simulated state.
      */
     std::uint64_t checkpointInterval = 0;
 
@@ -147,11 +154,11 @@ struct RunOptions
     std::string sweepDir;
 
     /**
-     * Resume mode (--resume=DIR): journaled ok/retried runs are skipped
+     * Resume mode (--resume=DIR): journaled ok/retried jobs are skipped
      * (their results reloaded from the digest-checked result blobs);
-     * unjournaled or quarantined runs re-execute, restoring from their
-     * latest valid checkpoint when one exists and falling back to a
-     * from-scratch run on any snapshot error.
+     * unjournaled or quarantined jobs re-execute, a one-member job
+     * restoring from its latest valid checkpoint when one exists and
+     * falling back to a from-scratch run on any snapshot error.
      */
     bool resume = false;
 
@@ -159,10 +166,10 @@ struct RunOptions
      * Forward-progress watchdog: a run whose heartbeat (completed
      * references) does not advance for this many wall seconds is
      * cooperatively aborted (SimError(Hang)), state-dumped to
-     * `<sweepDir>/hang-b<batch>-r<run>.dump`, and routed into the
-     * retry/quarantine path.  0 disables.  Tests constructing
-     * RunOptions directly get it off; parseArgs turns it on (300 s)
-     * for the bench CLIs.
+     * `<sweepDir>/hang-b<batch>-r<run>.dump` when it is a one-member
+     * job, and routed into the retry/quarantine path.  0 disables.
+     * Tests constructing RunOptions directly get it off; parseArgs
+     * turns it on (300 s) for the bench CLIs.
      */
     double hangTimeout = 0.0;
 
@@ -266,37 +273,6 @@ struct ResultCodec
     std::function<void(std::size_t, Deserializer &)> load;
 };
 
-/**
- * Batch-local index of the run the calling thread is executing, or
- * npos outside forEachRun.  runMix uses it to decide whether this run
- * is the --inject target.
- */
-std::size_t currentRunIndex();
-
-/** Attempt number (0 = first, 1 = retry) of the calling thread's run. */
-std::uint32_t currentAttempt();
-
-/**
- * Watchdog heartbeat slot of the calling thread's run (nullptr when no
- * watchdog is armed).  runMix stores the completed-reference count here
- * via Cmp::setProgressCounter.
- */
-std::atomic<std::uint64_t> *currentRunHeartbeat();
-
-/**
- * Watchdog abort flag of the calling thread's run (nullptr when no
- * watchdog is armed); wired into Cmp::setAbortFlag.
- */
-const std::atomic<bool> *currentRunAbortFlag();
-
-/**
- * Batch index of the innermost active forEachRun, i.e. how many
- * forEachRun calls this process made before it.  A bench executes the
- * same batch sequence on every launch, so (batch, run) names a run
- * stably across relaunches; npos outside forEachRun.
- */
-std::uint64_t currentBatchIndex();
-
 /** Reset the process-global batch counter (tests only). */
 void resetSweepBatchesForTest();
 
@@ -308,35 +284,14 @@ void resetSweepBatchesForTest();
 void pruneHangDumps(const std::string &dir, std::size_t keep);
 
 /**
- * RAII adoption of an external watchdog: while alive, runs executed on
- * the calling thread publish forward progress into @p heartbeat and
- * honour @p abort, through exactly the wiring forEachRun's own monitor
- * uses.  The sweep daemon arms one per job so its watchdog can abort a
- * hung or deadline-expired simulation; restores the previous wiring on
- * destruction.
- */
-class ScopedRunWatch
-{
-  public:
-    ScopedRunWatch(const std::atomic<bool> *abort,
-                   std::atomic<std::uint64_t> *heartbeat);
-    ~ScopedRunWatch();
-
-    ScopedRunWatch(const ScopedRunWatch &) = delete;
-    ScopedRunWatch &operator=(const ScopedRunWatch &) = delete;
-
-  private:
-    const std::atomic<bool> *prevAbort;
-    std::atomic<std::uint64_t> *prevHeartbeat;
-};
-
-/**
- * Execute one service-layer RunRequest with runMix, wiring the daemon's
- * abort flag and heartbeat into the run (ScopedRunWatch).  This is the
+ * Execute one service-layer RunRequest as a one-member job, wiring the
+ * daemon's abort flag and heartbeat into the run's watchdog.  The
+ * job takes the fan-out engine when @p feed_cache_dir is set (and the
+ * config does not prefetch), the plain engine otherwise.  This is the
  * SimulateFn the rc-daemon/rc-client CLIs and tests hand to the service
  * layer; calling it directly (the client's in-process fallback) yields
- * bit-identical results because runMix is deterministic in
- * (config, mix, seed, scale, windows).
+ * bit-identical results because a run is deterministic in
+ * (config, mix, seed, scale, windows) on either engine.
  */
 ::rc::RunResult simulateRequest(const svc::RunRequest &req,
                                 const std::atomic<bool> *abort = nullptr,
@@ -425,7 +380,9 @@ using RunResult = ::rc::RunResult;
 SystemConfig baselineFor(const RunOptions &opt);
 
 /**
- * Simulate one multiprogrammed mix on one system configuration.
+ * Simulate one multiprogrammed mix on one system configuration, always
+ * on the plain engine (one Cmp): the per-reference oracle the fan-out
+ * engine is checked against.
  * @param tracker optional generation tracker attached for the whole run;
  *        the harness finalizes it and reports the measurement window via
  *        win_start/win_end.
@@ -435,7 +392,8 @@ RunResult runMix(const SystemConfig &sys, const Mix &mix,
                  GenerationTracker *tracker = nullptr,
                  Cycle *win_start = nullptr, Cycle *win_end = nullptr);
 
-/** Simulate one parallel application on one system configuration. */
+/** Simulate one parallel application on one system configuration
+ *  (plain engine). */
 RunResult runParallel(const SystemConfig &sys, const AppProfile &app,
                       const RunOptions &opt);
 
@@ -450,27 +408,29 @@ struct SpeedupSummary
 
 /**
  * Simulate one mix on several configurations through ONE front-end
- * pass: the configs must share the private-hierarchy prefix
- * (FanoutCmp::samePrivatePrefix) and the fan-out machinery's
- * preconditions (no prefetching).  Results are bit-identical to
- * per-config runMix calls; the front end (stream generation + private
- * L1/L2 classification) is paid once instead of N times.
+ * pass, on the fan-out engine even for one config: the configs must
+ * share the private-hierarchy prefix (FanoutCmp::samePrivatePrefix) and
+ * the fan-out machinery's preconditions (no prefetching).  Results are
+ * bit-identical to per-config runMix calls; the front end (stream
+ * generation + private L1/L2 classification) is paid once instead of N
+ * times.
  * @return one RunResult per config, in order.
  */
 std::vector<RunResult> runMixFanout(const std::vector<SystemConfig> &cfgs,
                                     const Mix &mix, const RunOptions &opt);
 
 /**
- * Sweep @p cfgs x @p mixes in one forEachRun batch, grouping runs by
- * (mix, front-end prefix of the SystemConfig) and dispatching one
- * fan-out job per group instead of one job per run.  Groups ineligible
- * for fan-out (single config, prefetching enabled, fault injection,
- * journaled/resumable sweeps or the crash/livelock test hooks) fall
- * back to independent runMix jobs, so the aggregated results are
- * bit-identical either way — and at any --jobs=N, since each job stays
- * deterministic and independent.  A figure declares its whole grid
- * here once (baseline in column 0) and reads its rows from the matrix.
- * Journaled results carry each run's request digest, so a resumed
+ * Sweep @p cfgs x @p mixes in one forEachRun batch: one job per (mix,
+ * front-end prefix of the SystemConfig), or per (mix, config) for
+ * prefetching configs, whose prefetcher sits in front of the fan-out
+ * split.  What a job is picks its engine: one member without a feed
+ * cache, or a prefetching config, runs on a plain Cmp; every other job
+ * shares one front end on a FanoutCmp.  Both engines are bit-identical
+ * to runMix, so the results are the same at any --jobs=N and under any
+ * flag; --sweep-dir, --resume and --inject keep fan-out.  A figure
+ * declares its whole grid here once (baseline in column 0) and reads
+ * its rows from the matrix.  The sweep journals one record per job, and
+ * its persisted results carry each run's request digest, so a resumed
  * sweep reloads a result only into the run that produced it.
  * @return results[config][mix].
  */

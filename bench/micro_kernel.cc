@@ -270,7 +270,7 @@ main(int argc, char **argv)
     });
     // Time the path CLI sweeps run: the harness arms its watchdog by
     // default and wires the run's heartbeat and abort flag into every
-    // member of a fan-out job (executeFanout).
+    // member of a fan-out job (executeJob).
     std::atomic<std::uint64_t> fanBeat{0};
     std::atomic<bool> fanAbort{false};
     for (std::size_t j = 0; j < fan.size(); ++j) {

@@ -516,7 +516,7 @@ void
 Cmp::runBursts(Cycle end, bool commit)
 {
     // An abort mid-slice leaves express state lazy; a dump of it would
-    // be wrong, and executeFanout never installs one.
+    // be wrong, and the harness installs none on a fan-out member.
     RC_ASSERT(!onAbort, "fan-out members take no abort dump");
     const std::uint32_t n = static_cast<std::uint32_t>(cores.size());
     for (std::uint32_t i = 0; i < n; ++i) {

@@ -426,8 +426,9 @@ ReplayStream::restore(Deserializer &d)
 {
     (void)d;
     throwSimError(SimError::Kind::Snapshot,
-                  "fan-out member systems cannot be restored into; "
-                  "resumed runs execute independently");
+                  "fan-out member systems cannot be restored into; a "
+                  "resumed fan-out job reloads its journaled results or "
+                  "re-runs from scratch");
 }
 
 FanoutCmp::FanoutCmp(const std::vector<SystemConfig> &configs,

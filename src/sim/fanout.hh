@@ -378,7 +378,8 @@ class ReplayStream final : public RefStream
         feed.saveStreamAt(coreId, cursor, s);
     }
 
-    /** Members are never restored into; resume runs independently. */
+    /** Members are never restored into: a resumed fan-out job reloads
+     *  its journaled results or re-runs from scratch. */
     void restore(Deserializer &d) override;
 
     /** Core this stream stands in for. */

@@ -136,7 +136,7 @@ fleetFingerprint(FanoutCmp &fan, std::size_t n)
 }
 
 /**
- * The executeFanout cold/warm protocol in miniature: look up, take the
+ * The harness's fan-out cold/warm protocol in miniature: look up, take the
  * key lease on a miss, re-look-up, then capture-and-store or replay.
  * Returns the fleet fingerprint either way (they must never differ).
  */

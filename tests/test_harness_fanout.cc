@@ -2,8 +2,9 @@
  * @file
  * Harness-level fan-out tests: a grouped sweep (one front-end pass per
  * mix feeding every SLLC config) must aggregate bit-identically to
- * independent runMix calls, at any job count, with telemetry enabled,
- * and when a journaled sweep forces the independent fallback.
+ * independent runMix calls, at any job count, with telemetry enabled
+ * and with a feed cache.  Journaled grids keep fan-out too; see
+ * HarnessResume.JournaledGridKeepsFanoutAndResumesPerJob.
  */
 
 #include <atomic>

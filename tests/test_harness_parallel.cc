@@ -3,11 +3,14 @@
  * Determinism and flag-validation tests for the parallel bench harness:
  * the same seed must produce bit-identical RunResults whether the
  * (SystemConfig × Mix) batch runs serially (--jobs=1) or on a pool
- * (--jobs=4), and --jobs=0 must be rejected.
+ * (--jobs=4), --jobs=0 must be rejected, and so must every malformed
+ * numeric flag value.
  */
 
 #include <cstring>
 #include <initializer_list>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,6 +184,93 @@ TEST(HarnessParallelDeathTest, UnknownFlagPrintsUsage)
     char *argv[] = {arg0, arg1, nullptr};
     EXPECT_EXIT(bench::parseArgs(2, argv),
                 ::testing::ExitedWithCode(1), "--jobs=N");
+}
+
+/** A malformed value for one numeric flag, and the message it dies with. */
+struct MalformedFlag
+{
+    const char *name; //!< test-name suffix
+    const char *arg;
+    const char *message;
+};
+
+class HarnessFlagsDeathTest : public ::testing::TestWithParam<MalformedFlag>
+{
+};
+
+/** parseArgs itself prints the usage and dies: no simulation starts. */
+TEST_P(HarnessFlagsDeathTest, DiesInParseArgs)
+{
+    std::string arg = GetParam().arg;
+    char arg0[] = "bench";
+    char *argv[] = {arg0, arg.data(), nullptr};
+    EXPECT_EXIT(bench::parseArgs(2, argv), ::testing::ExitedWithCode(1),
+                std::string("usage: .*") + GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MalformedNumbers, HarnessFlagsDeathTest,
+    ::testing::Values(
+        MalformedFlag{"mixes", "--mixes=-1",
+                      "--mixes needs an unsigned decimal"},
+        MalformedFlag{"scale", "--scale=4294967296",
+                      "--scale needs an unsigned decimal in range"},
+        MalformedFlag{"warmup", "--warmup=1e6",
+                      "--warmup needs an unsigned decimal"},
+        MalformedFlag{"measure", "--measure=-1",
+                      "--measure needs an unsigned decimal"},
+        MalformedFlag{"seed", "--seed=abc",
+                      "--seed needs an unsigned decimal"},
+        MalformedFlag{"jobs", "--jobs=2x",
+                      "--jobs needs an unsigned decimal"},
+        MalformedFlag{"check_interval", "--check-interval=",
+                      "--check-interval needs an unsigned decimal"},
+        MalformedFlag{"checkpoint_interval", "--checkpoint-interval=1.5",
+                      "--checkpoint-interval needs an unsigned decimal"},
+        MalformedFlag{"sample_interval",
+                      "--sample-interval=18446744073709551616",
+                      "--sample-interval needs an unsigned decimal in range"},
+        MalformedFlag{"hang_timeout", "--hang-timeout=abc",
+                      "--hang-timeout needs a finite number >= 0"},
+        MalformedFlag{"inject_index", "--inject=dir-drop@x",
+                      "--inject needs an unsigned decimal"}),
+    [](const ::testing::TestParamInfo<MalformedFlag> &info) {
+        return std::string(info.param.name);
+    });
+
+/** Every numeric spelling the docs, CI and the benchmark use parses. */
+TEST(HarnessParallel, ParseArgsReadsEveryDocumentedSpelling)
+{
+    const char *args[] = {
+        "bench", "--mixes=8", "--scale=1", "--warmup=100000",
+        "--measure=400000", "--seed=1307", "--jobs=4",
+        "--check-interval=100000", "--sweep-dir=sweep",
+        "--checkpoint-interval=5000000", "--hang-timeout=12.5",
+        "--telemetry-dir=t", "--sample-interval=100000",
+        "--inject=dir-drop@3"};
+    std::vector<std::string> store(std::begin(args), std::end(args));
+    std::vector<char *> argv;
+    for (std::string &a : store)
+        argv.push_back(a.data());
+    const auto opt =
+        bench::parseArgs(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EQ(opt.mixCount, 8u);
+    EXPECT_EQ(opt.scale, 1u);
+    EXPECT_EQ(opt.warmup, 100'000u);
+    EXPECT_EQ(opt.measure, 400'000u);
+    EXPECT_EQ(opt.seed, 1307u);
+    EXPECT_EQ(opt.jobs, 4u);
+    EXPECT_EQ(opt.checkInterval, 100'000u);
+    EXPECT_EQ(opt.checkpointInterval, 5'000'000u);
+    EXPECT_DOUBLE_EQ(opt.hangTimeout, 12.5);
+    EXPECT_EQ(opt.sampleInterval, 100'000u);
+    EXPECT_EQ(opt.injectFault, "dir-drop");
+    EXPECT_EQ(opt.injectRun, 3u);
+
+    char arg0[] = "bench";
+    char off[] = "--hang-timeout=0";
+    char *argv2[] = {arg0, off, nullptr};
+    EXPECT_EQ(bench::parseArgs(2, argv2).hangTimeout, 0.0);
 }
 
 TEST(HarnessParallel, ParseArgsReadsJobsFlag)

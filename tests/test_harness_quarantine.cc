@@ -2,9 +2,9 @@
  * @file
  * Crash-isolation tests for the bench harness: a poisoned run in a
  * parallel sweep is retried once and quarantined while its siblings
- * complete with bit-identical statistics, the per-run outcomes land in
- * the BENCH_harness.json payload, and a process with quarantined runs
- * exits nonzero.
+ * complete with bit-identical statistics, --inject quarantines a whole
+ * fan-out job, the per-run outcomes land in the BENCH_harness.json
+ * payload, and a process with quarantined runs exits nonzero.
  */
 
 #include <cstdlib>
@@ -12,10 +12,13 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "harness.hh"
 #include "sim/system_config.hh"
+#include "snapshot/journal.hh"
 
 namespace rc
 {
@@ -130,6 +133,54 @@ TEST(HarnessQuarantine, PoisonedRunIsQuarantinedWhileSiblingsComplete)
     EXPECT_EQ(got[1].llcAccesses, 0u);
 
     EXPECT_GE(bench::quarantinedRunsTotal(), 1u);
+}
+
+/**
+ * --inject poisons a whole fan-out job: in a grid, job 1 (mix 1) is
+ * retried and quarantined with every config of the mix left at default
+ * values, while the other mixes' jobs match a clean grid bit for bit.
+ * The job outcomes come from the sweep journal.
+ */
+TEST(HarnessQuarantine, InjectedFanoutJobIsQuarantinedWhole)
+{
+    bench::setExitOnQuarantine(false);
+    const std::vector<SystemConfig> cfgs = {
+        baselineSystem(8), reuseSystem(4.0, 1.0, 0, 8),
+        reuseSystem(4.0, 1.0, 16, 8)};
+    const auto mixes = makeMixes(3, 8, 7);
+    auto clean = smokeOptions(2);
+    clean.checkInterval = 10'000;
+    const auto ref = bench::runConfigsOverMixes(cfgs, mixes, clean);
+
+    auto poisoned = clean;
+    poisoned.injectFault = "dir-drop";
+    poisoned.injectRun = 1;
+    poisoned.sweepDir = ::testing::TempDir() + "rc-inject-fanout-" +
+                        std::to_string(::getpid());
+    bench::resetSweepBatchesForTest();
+    const auto got = bench::runConfigsOverMixes(cfgs, mixes, poisoned);
+
+    const auto records = SweepJournal::load(poisoned.sweepDir);
+    ASSERT_EQ(records.size(), mixes.size()) << "one job per mix expected";
+    for (const JournalRecord &rec : records) {
+        if (rec.run == 1) {
+            EXPECT_EQ(rec.status, "quarantined");
+            EXPECT_EQ(rec.attempts, 2u);
+            EXPECT_NE(rec.error.find("[integrity]"), std::string::npos)
+                << rec.error;
+        } else {
+            EXPECT_EQ(rec.status, "ok") << "job " << rec.run << ": "
+                                        << rec.error;
+            EXPECT_EQ(rec.attempts, 1u);
+        }
+    }
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        expectIdentical(got[i][0], ref[i][0]);
+        expectIdentical(got[i][2], ref[i][2]);
+        EXPECT_EQ(got[i][1].aggregateIpc, 0.0);
+        EXPECT_EQ(got[i][1].llcAccesses, 0u);
+    }
 }
 
 TEST(HarnessQuarantine, TransientFaultIsRetriedAndRecovers)

@@ -6,9 +6,10 @@
  * bit-identical aggregate, a livelocked run is detected, state-dumped
  * and quarantined while its siblings complete, a batch with the
  * watchdog armed ends with its last run, and a quarantine retry with a
- * generation tracker attached reproduces a clean run exactly.  Persisted
- * results and checkpoints are matched to their run by request digest,
- * so a relaunch with other options or configs never reloads them.
+ * generation tracker attached reproduces a clean run exactly.  A
+ * journaled grid keeps fan-out and resumes per job.  Persisted results
+ * and checkpoints are matched to their run by request digest, so a
+ * relaunch with other options or configs never reloads them.
  */
 
 #include <atomic>
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/liveness.hh"
+#include "cache/replacement.hh"
 #include "harness.hh"
 #include "sim/system_config.hh"
 #include "snapshot/journal.hh"
@@ -378,6 +380,55 @@ TEST(HarnessResume, ResumedSweepUnderAnotherSeedReSimulates)
             SCOPED_TRACE("config " + std::to_string(i) + " mix " +
                          std::to_string(m));
             expectIdentical(got[i][m], want[i][m]);
+        }
+    }
+}
+
+/**
+ * A journaled grid keeps fan-out: one job, and so one journal record,
+ * per mix rather than per (config, mix).  Its results match runMix cell
+ * for cell, and a resumed relaunch reloads every job from the journal
+ * without simulating (a simulated job would append a record).
+ */
+TEST(HarnessResume, JournaledGridKeepsFanoutAndResumesPerJob)
+{
+    bench::setExitOnQuarantine(false);
+    const std::vector<SystemConfig> cfgs = {
+        conventionalSystem(8.0, ReplKind::LRU, 8),
+        reuseSystem(4.0, 1.0, 16, 8), ncidSystem(8.0, 1.0, 8)};
+    const auto mixes = makeMixes(2, 8, 7);
+    const std::string dir = sweepDir("resume-fanout-grid");
+    scrubDir(dir);
+
+    auto first = smokeOptions(2);
+    first.sweepDir = dir;
+    bench::resetSweepBatchesForTest();
+    const auto got = bench::runConfigsOverMixes(cfgs, mixes, first);
+    const auto records = SweepJournal::load(dir);
+    ASSERT_EQ(records.size(), mixes.size())
+        << "a journaled grid must run one fan-out job per mix";
+    for (const JournalRecord &rec : records)
+        EXPECT_EQ(rec.status, "ok") << rec.error;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
+            SCOPED_TRACE("config " + std::to_string(i) + " mix " +
+                         std::to_string(m));
+            expectIdentical(got[i][m],
+                            bench::runMix(cfgs[i], mixes[m], smokeOptions(1)));
+        }
+    }
+
+    auto resumed = first;
+    resumed.resume = true;
+    bench::resetSweepBatchesForTest();
+    const auto reloaded = bench::runConfigsOverMixes(cfgs, mixes, resumed);
+    EXPECT_EQ(SweepJournal::load(dir).size(), mixes.size())
+        << "the resumed grid re-simulated a journaled job";
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
+            SCOPED_TRACE("config " + std::to_string(i) + " mix " +
+                         std::to_string(m));
+            expectIdentical(reloaded[i][m], got[i][m]);
         }
     }
 }
