@@ -59,17 +59,6 @@ meanLlcMpki(const std::vector<bench::RunResult> &rows)
     return n ? sum / static_cast<double>(n) : 0.0;
 }
 
-double
-meanSpeedup(const std::vector<bench::RunResult> &sys,
-            const std::vector<bench::RunResult> &base)
-{
-    double sum = 0.0;
-    for (std::size_t m = 0; m < sys.size(); ++m)
-        sum += bench::speedupRatio(sys[m].aggregateIpc,
-                                   base[m].aggregateIpc);
-    return sys.empty() ? 0.0 : sum / static_cast<double>(sys.size());
-}
-
 /** Markdown leaderboard (printed and written to BENCH_arena.md). */
 std::string
 leaderboardMarkdown(const std::vector<Standing> &ranked,
@@ -188,8 +177,8 @@ main(int argc, char **argv)
         Standing st;
         st.info = field[i];
         st.llcMpki = meanLlcMpki(results[i]);
-        st.vsConvNru = meanSpeedup(results[i], nruRows);
-        st.vsReuseNrr = meanSpeedup(results[i], nrrRows);
+        st.vsConvNru = bench::speedups(results[i], nruRows).mean;
+        st.vsReuseNrr = bench::speedups(results[i], nrrRows).mean;
         for (const bench::RunResult &r : results[i])
             st.perMixIpc.push_back(r.aggregateIpc);
         ranked.push_back(std::move(st));

@@ -41,7 +41,7 @@ main(int argc, char **argv)
         Cycle start = 0, end = 0;
         bench::runMix(sys, mix, opt, &tracker, &start, &end);
         const LiveSeries series = computeLiveSeries(
-            tracker.records(), start, end, opt.samplePeriod,
+            tracker.records(), start, end, liveSamplePeriod,
             sys.conv.capacityBytes / lineBytes);
 
         std::printf("\n%s: mean live fraction %.1f%% (paper %.1f%%), "

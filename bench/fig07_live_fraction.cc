@@ -25,7 +25,7 @@ liveOf(const rc::SystemConfig &sys, std::uint64_t capacity_lines,
         rc::Cycle start = 0, end = 0;
         rc::bench::runMix(sys, mix, opt, &tracker, &start, &end);
         acc.add(rc::averageLiveFraction(tracker.records(), start, end,
-                                        opt.samplePeriod,
+                                        rc::liveSamplePeriod,
                                         capacity_lines));
     }
     return acc.mean();

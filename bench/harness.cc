@@ -22,6 +22,7 @@
 #include "common/log.hh"
 #include "common/task_pool.hh"
 #include "reuse/reuse_cache.hh"
+#include "service/result_cache.hh"
 #include "sim/fanout.hh"
 #include "snapshot/journal.hh"
 #include "snapshot/serializer.hh"
@@ -91,9 +92,9 @@ struct ScopedRunWatch
 std::atomic<bool> exitOnQuarantineFlag{true};
 
 /**
- * forEachRun call counter: a bench executes the same batch sequence on
- * every launch, so the pair (batch, run) names a run stably across
- * relaunches and the journal of a killed sweep maps onto the relaunch.
+ * forEachRun call counter: the pair (batch, run) names a run of this
+ * launch in the journal, hang dumps and telemetry tags.  Files a later
+ * launch reads are named by request instead (runRequest).
  */
 std::atomic<std::uint64_t> sweepBatchCounter{0};
 
@@ -134,17 +135,16 @@ ensureDir(const std::string &dir)
                       "cannot create sweep directory '%s'", dir.c_str());
 }
 
-/** `<dir>/<stem>-b<batch>-r<run>.<ext>` for the named run. */
+/** Hang dumps kept under a sweep directory (see pruneHangDumps). */
+constexpr std::size_t hangDumpsKept = 8;
+
+/** `<dir>/hang-b<batch>-r<run>.dump`: the dump of a run of this launch. */
 std::string
-runFilePath(const std::string &dir, const char *stem, std::uint64_t batch,
-            std::size_t run, const char *ext)
+hangDumpPath(const std::string &dir, std::uint64_t batch, std::size_t run)
 {
-    char buf[96];
-    if (run == SIZE_MAX)
-        std::snprintf(buf, sizeof(buf), "/%s-solo.%s", stem, ext);
-    else
-        std::snprintf(buf, sizeof(buf), "/%s-b%llu-r%zu.%s", stem,
-                      static_cast<unsigned long long>(batch), run, ext);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "/hang-b%llu-r%zu.dump",
+                  static_cast<unsigned long long>(batch), run);
     return dir + buf;
 }
 
@@ -268,37 +268,43 @@ registerQuarantineGuard()
     });
 }
 
-/** Print the usage string and end the process on a malformed value. */
+/** Print @p usage and end the process on a malformed flag value. */
 [[noreturn]] void
-badValue(const char *flag, const char *value, const char *want)
+badValue(const char *usage, const char *flag, const char *value,
+         const char *want)
 {
-    std::fprintf(stderr, "%s", usageString());
+    std::fprintf(stderr, "%s", usage);
     fatal("%s needs %s (got '%s')", flag, want, value);
 }
 
-/**
- * The whole of @p value as an unsigned decimal no larger than @p max.
- * Anything else (empty, a sign, an exponent, trailing characters,
- * overflow) is fatal through badValue().
- */
+} // namespace
+
 std::uint64_t
-parseCount(const char *flag, const char *value,
-           std::uint64_t max = UINT64_MAX)
+NumericFlags::count(const char *flag, const char *value,
+                    std::uint64_t max) const
 {
     std::uint64_t v = 0;
     const char *p = value;
     for (; *p >= '0' && *p <= '9'; ++p) {
         const std::uint64_t digit = static_cast<std::uint64_t>(*p - '0');
         if (v > (max - digit) / 10)
-            badValue(flag, value, "an unsigned decimal in range");
+            badValue(usage, flag, value, "an unsigned decimal in range");
         v = v * 10 + digit;
     }
     if (p == value || *p != '\0')
-        badValue(flag, value, "an unsigned decimal");
+        badValue(usage, flag, value, "an unsigned decimal");
     return v;
 }
 
-} // namespace
+double
+NumericFlags::seconds(const char *flag, const char *value) const
+{
+    char *end = nullptr;
+    const double v = std::strtod(value, &end);
+    if (end == value || *end != '\0' || !std::isfinite(v) || v < 0.0)
+        badValue(usage, flag, value, "a finite number >= 0");
+    return v;
+}
 
 const char *
 toString(RunStatus status)
@@ -398,10 +404,11 @@ usageString()
            "full state every N\n"
            "               references (needs --sweep-dir or --resume; "
            "0 = off)\n"
-           "  --sweep-dir=DIR  journal completed jobs and keep results/"
-           "checkpoints in DIR\n"
-           "  --resume=DIR relaunch a killed sweep from DIR: skip "
-           "journaled jobs, restore\n"
+           "  --sweep-dir=DIR  journal every job, store finished runs in "
+           "DIR/results and\n"
+           "               keep checkpoints in DIR\n"
+           "  --resume=DIR relaunch a killed sweep from DIR: reuse the "
+           "stored runs, restore\n"
            "               in-flight one-member jobs from their latest "
            "valid checkpoint\n"
            "  --hang-timeout=S  abort and quarantine runs making no "
@@ -443,6 +450,7 @@ parseArgs(int argc, char **argv)
     // Bench CLIs default the watchdog on; tests constructing RunOptions
     // directly keep it off (hangTimeout's field default is 0).
     opt.hangTimeout = 300.0;
+    const NumericFlags num{usageString()};
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         auto value = [&](const char *prefix) -> const char * {
@@ -451,16 +459,16 @@ parseArgs(int argc, char **argv)
         };
         if (const char *v = value("--mixes=")) {
             opt.mixCount = static_cast<std::uint32_t>(
-                parseCount("--mixes", v, UINT32_MAX));
+                num.count("--mixes", v, UINT32_MAX));
         } else if (const char *v = value("--scale=")) {
             opt.scale = static_cast<std::uint32_t>(
-                parseCount("--scale", v, UINT32_MAX));
+                num.count("--scale", v, UINT32_MAX));
         } else if (const char *v = value("--warmup=")) {
-            opt.warmup = parseCount("--warmup", v);
+            opt.warmup = num.count("--warmup", v);
         } else if (const char *v = value("--measure=")) {
-            opt.measure = parseCount("--measure", v);
+            opt.measure = num.count("--measure", v);
         } else if (const char *v = value("--seed=")) {
-            opt.seed = parseCount("--seed", v);
+            opt.seed = num.count("--seed", v);
         } else if (const char *v = value("--policy=")) {
             // Resolves through the arena registry: unknown names fatal
             // with a did-you-mean hint and the full spelling list.
@@ -468,31 +476,27 @@ parseArgs(int argc, char **argv)
             opt.policy = arena::policyInfo(opt.policyKind).name;
         } else if (const char *v = value("--jobs=")) {
             opt.jobs = static_cast<std::uint32_t>(
-                parseCount("--jobs", v, UINT32_MAX));
+                num.count("--jobs", v, UINT32_MAX));
             if (opt.jobs < 1)
                 fatal("--jobs must be >= 1 (got '%s'); use --jobs=1 for "
                       "the serial path", v);
         } else if (const char *v = value("--check-interval=")) {
-            opt.checkInterval = parseCount("--check-interval", v);
+            opt.checkInterval = num.count("--check-interval", v);
         } else if (const char *v = value("--checkpoint-interval=")) {
-            opt.checkpointInterval = parseCount("--checkpoint-interval", v);
+            opt.checkpointInterval = num.count("--checkpoint-interval", v);
         } else if (const char *v = value("--sweep-dir=")) {
             opt.sweepDir = v;
         } else if (const char *v = value("--resume=")) {
             opt.sweepDir = v;
             opt.resume = true;
         } else if (const char *v = value("--hang-timeout=")) {
-            char *end = nullptr;
-            opt.hangTimeout = std::strtod(v, &end);
-            if (end == v || *end != '\0' || !std::isfinite(opt.hangTimeout) ||
-                opt.hangTimeout < 0.0)
-                badValue("--hang-timeout", v, "a finite number >= 0");
+            opt.hangTimeout = num.seconds("--hang-timeout", v);
         } else if (const char *v = value("--telemetry-dir=")) {
             opt.telemetryDir = v;
         } else if (std::strcmp(arg, "--trace-events") == 0) {
             opt.traceEvents = true;
         } else if (const char *v = value("--sample-interval=")) {
-            opt.sampleInterval = parseCount("--sample-interval", v);
+            opt.sampleInterval = num.count("--sample-interval", v);
         } else if (const char *v = value("--feed-cache=")) {
             opt.feedCacheDir = v;
             opt.feedCacheDisabled = false;
@@ -507,7 +511,7 @@ parseArgs(int argc, char **argv)
             if (const std::size_t at = spec.find('@');
                 at != std::string::npos) {
                 opt.injectRun = static_cast<std::size_t>(
-                    parseCount("--inject", spec.c_str() + at + 1, SIZE_MAX));
+                    num.count("--inject", spec.c_str() + at + 1, SIZE_MAX));
                 spec.resize(at);
             }
             FaultClass cls = FaultClass::TagStateFlip;
@@ -570,8 +574,7 @@ effectiveJobs(const RunOptions &opt)
 
 std::vector<RunOutcome>
 forEachRun(std::size_t n, const RunOptions &opt,
-           const std::function<void(std::size_t)> &body,
-           const ResultCodec *codec)
+           const std::function<void(std::size_t)> &body)
 {
     if (n == 0)
         return {};
@@ -584,56 +587,11 @@ forEachRun(std::size_t n, const RunOptions &opt,
     using clock = std::chrono::steady_clock;
     std::atomic<std::uint64_t> runNanos{0};
     std::vector<RunOutcome> outcomes(n);
-    std::vector<char> skip(n, 0);
 
-    // Resume: journaled ok/retried runs whose result blob verifies are
-    // skipped; quarantined and unjournaled runs re-execute (restoring
-    // from their checkpoints inside runMix).  Later journal records win
-    // so a resume-of-a-resume sees the freshest state.
+    // The journal logs every finished run of this launch.
     std::unique_ptr<SweepJournal> journal;
-    if (!opt.sweepDir.empty()) {
-        if (opt.resume) {
-            for (const JournalRecord &rec : SweepJournal::load(opt.sweepDir)) {
-                if (rec.batch != batch || rec.run >= n)
-                    continue;
-                const std::size_t i = static_cast<std::size_t>(rec.run);
-                if (rec.status == "quarantined" || !codec || !codec->load) {
-                    skip[i] = 0;
-                    continue;
-                }
-                const std::string rp =
-                    runFilePath(opt.sweepDir, "result", batch, i, "bin");
-                try {
-                    Deserializer d(rp);
-                    if (d.payloadCrc() != rec.digest)
-                        throwSimError(SimError::Kind::Snapshot,
-                                      "result blob '%s' digest 0x%08x does "
-                                      "not match the journal's 0x%08x",
-                                      rp.c_str(), d.payloadCrc(),
-                                      rec.digest);
-                    d.beginSection("result");
-                    codec->load(i, d);
-                    d.endSection("result");
-                } catch (const SimError &err) {
-                    warn("resume: run %zu of batch %llu: %s -- re-running",
-                         i, static_cast<unsigned long long>(batch),
-                         err.what());
-                    skip[i] = 0;
-                    continue;
-                }
-                RunOutcome &out = outcomes[i];
-                out.index = i;
-                out.status = rec.status == "retried" ? RunStatus::Retried
-                                                     : RunStatus::Ok;
-                out.attempts = rec.attempts;
-                out.wallSeconds = rec.wallSeconds;
-                out.error.clear();
-                out.fromJournal = true;
-                skip[i] = 1;
-            }
-        }
+    if (!opt.sweepDir.empty())
         journal = std::make_unique<SweepJournal>(opt.sweepDir);
-    }
 
     // Forward-progress watchdog: one heartbeat slot per run, one
     // monitor thread flagging runs whose beat stalls past the timeout.
@@ -694,8 +652,6 @@ forEachRun(std::size_t n, const RunOptions &opt,
     // then quarantine.  Anything else still propagates (a logic bug in
     // the harness must not be silently absorbed).
     auto guarded = [&](std::size_t i) {
-        if (skip[i])
-            return;
         RunOutcome &out = outcomes[i];
         out.index = i;
         tlsRunIndex = i;
@@ -749,28 +705,12 @@ forEachRun(std::size_t n, const RunOptions &opt,
 
         if (!journal)
             return;
-        // Persist the result (when a codec exists) and journal the run.
-        std::uint32_t digest = 0;
-        if (out.status != RunStatus::Quarantined && codec && codec->save) {
-            try {
-                Serializer s;
-                s.beginSection("result");
-                codec->save(i, s);
-                s.endSection("result");
-                s.writeFile(
-                    runFilePath(opt.sweepDir, "result", batch, i, "bin"));
-                digest = s.payloadCrc();
-            } catch (const SimError &err) {
-                warn("cannot persist the result of run %zu: %s", i,
-                     err.what());
-            }
-        }
+        // digest stays 0, the journal's "none": no blob backs a record.
         JournalRecord rec;
         rec.batch = batch;
         rec.run = i;
         rec.status = toString(out.status);
         rec.attempts = out.attempts;
-        rec.digest = digest;
         rec.wallSeconds = out.wallSeconds;
         rec.error = out.error;
         journal->append(rec);
@@ -803,13 +743,9 @@ forEachRun(std::size_t n, const RunOptions &opt,
     const double wall =
         std::chrono::duration<double>(clock::now() - wall0).count();
 
-    std::size_t executed = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        executed += skip[i] ? 0 : 1;
-
     PerfTotals &t = perfTotals();
     std::lock_guard<std::mutex> lock(t.mu);
-    t.sims += executed;
+    t.sims += n;
     t.cpuSeconds += static_cast<double>(runNanos.load()) * 1e-9;
     t.wallSeconds += wall;
     t.jobs = jobs;
@@ -822,6 +758,14 @@ forEachRun(std::size_t n, const RunOptions &opt,
         t.outcomes.push_back(o);
     }
     return outcomes;
+}
+
+svc::RunRequest
+runRequest(SystemConfig cfg, const Mix &mix, const RunOptions &opt)
+{
+    cfg.seed = opt.seed;
+    return svc::RunRequest{cfg, mix, opt.seed, opt.scale, opt.warmup,
+                           opt.measure};
 }
 
 double
@@ -909,9 +853,9 @@ applyInjectedFault(Cmp &cmp, const RunOptions &opt, const std::string &member)
 }
 
 /**
- * File tag of the calling worker's run, matching runFilePath(): the
- * telemetry artifacts sit next to the checkpoints under the same
- * naming scheme so a sweep's outputs line up run for run.
+ * File tag of the calling worker's run, matching hangDumpPath(): the
+ * telemetry artifacts carry the hang dumps' (batch, run) naming so a
+ * launch's outputs line up run for run.
  */
 std::string
 telemetryTag()
@@ -962,20 +906,6 @@ writeRunState(const Cmp &cmp, std::uint32_t phase, std::uint64_t digest,
     s.endSection("telemetry");
     s.endSection("run");
     s.writeFile(path);
-}
-
-/**
- * Request digest of one run: the canonical encoding of every input
- * that shapes its numbers (svc::requestDigest).  Persisted results and
- * checkpoints carry it, so a relaunch restores them only into the run
- * that produced them, whatever the batch layout.
- */
-std::uint64_t
-runDigest(SystemConfig cfg, const Mix &mix, const RunOptions &opt)
-{
-    cfg.seed = opt.seed;
-    return svc::requestDigest(svc::RunRequest{cfg, mix, opt.seed, opt.scale,
-                                              opt.warmup, opt.measure});
 }
 
 /**
@@ -1092,7 +1022,7 @@ struct MemberTelemetry
  * on resume, leaves a state dump when the watchdog aborts it and runs
  * the tracker cooldown: a fan-out member cannot be restored into, and
  * its express state is lazy mid-slice, so it has nothing consistent to
- * save.  A fan-out job resumes whole, from its journal record or from
+ * save.  A fan-out job resumes whole, from the result store or from
  * scratch.
  * @return one RunResult per config, in order.
  */
@@ -1164,21 +1094,25 @@ executeJob(Engine engine, std::vector<SystemConfig> cfgs, const Mix &mix,
         tracker->reset();
 
     // Checkpoints and hang dumps live under the sweep directory and
-    // carry the run's request digest.
+    // carry the run's request digest.  A checkpoint is named after it
+    // too, so a relaunch finds it whatever its job layout.  Two
+    // concurrent jobs of one request share the name; that is safe,
+    // because their states are identical and every write is an atomic
+    // rename.
     const bool persist = plain && !opt.sweepDir.empty();
     const std::uint64_t digest =
-        persist ? runDigest(cfgs.front(), mix, opt) : 0;
+        persist ? svc::requestDigest(runRequest(cfgs.front(), mix, opt)) : 0;
+    // A resumed run looks for its checkpoint even when this launch takes
+    // none itself.
     std::string ckptPath;
-    if (persist && opt.checkpointInterval != 0) {
-        if (tracker) {
-            warn("run %zu: checkpointing disabled, a generation tracker "
-                 "is attached (observer history is not simulated state)",
-                 tlsRunIndex);
-        } else {
-            ensureDir(opt.sweepDir);
-            ckptPath = runFilePath(opt.sweepDir, "ckpt", activeBatch.load(),
-                                   tlsRunIndex, "ckpt");
-        }
+    if (persist && tracker && opt.checkpointInterval != 0) {
+        warn("run %zu: checkpointing disabled, a generation tracker is "
+             "attached (observer history is not simulated state)",
+             tlsRunIndex);
+    } else if (persist && !tracker &&
+               (opt.checkpointInterval != 0 || opt.resume)) {
+        ensureDir(opt.sweepDir);
+        ckptPath = opt.sweepDir + "/ckpt-" + digestHex(digest) + ".ckpt";
     }
 
     // The telemetry sessions precede the restore attempt: a resumed run
@@ -1235,15 +1169,15 @@ executeJob(Engine engine, std::vector<SystemConfig> cfgs, const Mix &mix,
     if (persist && tlsAbortFlag) {
         ensureDir(opt.sweepDir);
         dump = [&opt, &phase, digest, sampler,
-                path = runFilePath(opt.sweepDir, "hang", activeBatch.load(),
-                                   tlsRunIndex, "dump")](const Cmp &c) {
+                path = hangDumpPath(opt.sweepDir, activeBatch.load(),
+                                    tlsRunIndex)](const Cmp &c) {
             try {
                 writeRunState(c, phase, digest, opt, sampler, path);
                 warn("watchdog: diagnostic state dump written to '%s'",
                      path.c_str());
                 // A sweep that keeps tripping its watchdog across
                 // relaunches must not fill the disk with diagnostics.
-                pruneHangDumps(opt.sweepDir, opt.hangDumpKeep);
+                pruneHangDumps(opt.sweepDir, hangDumpsKept);
             } catch (const SimError &err) {
                 warn("watchdog: cannot write the state dump: %s",
                      err.what());
@@ -1278,7 +1212,7 @@ executeJob(Engine engine, std::vector<SystemConfig> cfgs, const Mix &mix,
 
     // Periodic checkpoints, plus the simulated-crash test hook (which
     // dies right after a checkpoint landed, like a kill -9 would).
-    if (!ckptPath.empty())
+    if (!ckptPath.empty() && opt.checkpointInterval != 0)
         solo->setSnapshotHook(opt.checkpointInterval,
                               [&opt, &phase, digest, sampler, tracer,
                                ckptPath](const Cmp &c, Cycle) {
@@ -1388,10 +1322,6 @@ runParallel(const SystemConfig &sys, const AppProfile &app,
         .front();
 }
 
-// RunResult's field-level serialization moved to src/sim/run_result.cc
-// (rc::saveRunResult / rc::loadRunResult, found here via ADL) when the
-// sweep daemon started persisting the same values.
-
 std::vector<RunResult>
 runMixFanout(const std::vector<SystemConfig> &cfgs, const Mix &mix,
              const RunOptions &opt)
@@ -1410,8 +1340,8 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
         return results;
 
     // Group configs by the front-end-invariant prefix, preserving
-    // first-appearance order so job numbering is stable across
-    // relaunches of the same bench.
+    // first-appearance order so a launch numbers its jobs (in the
+    // journal, for --inject) deterministically.
     std::vector<std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         bool placed = false;
@@ -1445,43 +1375,38 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
         }
     }
 
-    // Each persisted result is preceded by its run's request digest, so
-    // a relaunch whose batch layout or options differ re-simulates
-    // instead of reloading another run's numbers.
-    ResultCodec codec;
-    codec.save = [&](std::size_t j, Serializer &s) {
-        const Job &job = jobs[j];
-        s.putU64(job.members.size());
-        for (std::size_t i : job.members) {
-            s.putU64(runDigest(cfgs[i], mixes[job.mix], opt));
-            saveRunResult(s, results[i][job.mix]);
-        }
-    };
-    codec.load = [&](std::size_t j, Deserializer &d) {
-        const Job &job = jobs[j];
-        const std::uint64_t n = d.getU64();
-        if (n != job.members.size())
-            throwSimError(SimError::Kind::Snapshot,
-                          "persisted fan-out job carries %llu results "
-                          "for a %zu-member job",
-                          static_cast<unsigned long long>(n),
-                          job.members.size());
-        for (std::size_t i : job.members) {
-            const std::uint64_t saved = d.getU64();
-            const std::uint64_t want = runDigest(cfgs[i], mixes[job.mix], opt);
-            if (saved != want)
-                throwSimError(SimError::Kind::Snapshot,
-                              "persisted result of config %zu on mix %zu "
-                              "belongs to another run (request digest %s, "
-                              "this run %s)", i, job.mix,
-                              digestHex(saved).c_str(),
-                              digestHex(want).c_str());
-            results[i][job.mix] = loadRunResult(d);
-        }
+    // --sweep-dir keeps every finished run in the result store, keyed
+    // by its request.  The store sits in its own directory: opening it
+    // deletes every *.tmp there, and checkpoints stage theirs in the
+    // sweep directory.
+    std::unique_ptr<svc::ResultCache> store;
+    if (!opt.sweepDir.empty()) {
+        ensureDir(opt.sweepDir);
+        store = std::make_unique<svc::ResultCache>(opt.sweepDir + "/results");
+    }
+    const auto request = [&](std::size_t i, const Job &job) {
+        return runRequest(cfgs[i], mixes[job.mix], opt);
     };
 
-    forEachRun(jobs.size(), opt, [&](std::size_t j) {
-        const Job &job = jobs[j];
+    // --resume fills a job whose runs are all in the store from it; a
+    // lookup verifies the full request bytes, so whatever grid stored a
+    // run, only that run's result comes back.  The other jobs run.
+    std::vector<const Job *> pending;
+    for (const Job &job : jobs) {
+        std::vector<RunResult> stored(job.members.size());
+        bool hit = store && opt.resume;
+        for (std::size_t k = 0; hit && k < job.members.size(); ++k)
+            hit = store->lookup(request(job.members[k], job), stored[k]);
+        if (!hit) {
+            pending.push_back(&job);
+            continue;
+        }
+        for (std::size_t k = 0; k < job.members.size(); ++k)
+            results[job.members[k]][job.mix] = std::move(stored[k]);
+    }
+
+    forEachRun(pending.size(), opt, [&](std::size_t p) {
+        const Job &job = *pending[p];
         std::vector<SystemConfig> members;
         members.reserve(job.members.size());
         for (std::size_t i : job.members)
@@ -1491,9 +1416,14 @@ runConfigsOverMixes(const std::vector<SystemConfig> &cfgs,
         const std::vector<RunResult> r =
             executeJob(engine, std::move(members), mix, mixStreams(mix, opt),
                        opt);
-        for (std::size_t k = 0; k < job.members.size(); ++k)
+        // Stored last, so a quarantined job stores nothing and runs
+        // again on resume.
+        for (std::size_t k = 0; k < job.members.size(); ++k) {
             results[job.members[k]][job.mix] = r[k];
-    }, &codec);
+            if (store)
+                store->store(request(job.members[k], job), r[k]);
+        }
+    });
     return results;
 }
 

@@ -26,11 +26,12 @@
  *   --checkpoint-interval=N  persist every one-member job's full
  *                 simulated state every N references (needs --sweep-dir
  *                 or --resume)
- *   --sweep-dir=DIR  journal completed jobs and persist results/
- *                 checkpoints under DIR
- *   --resume=DIR  relaunch a killed sweep: skip journaled jobs, restore
- *                 in-flight one-member jobs from their latest valid
- *                 checkpoint and re-run the others from scratch
+ *   --sweep-dir=DIR  journal every job, keep every finished run in the
+ *                 result store DIR/results and checkpoints under DIR
+ *   --resume=DIR  relaunch a killed sweep: fill every job whose runs are
+ *                 all in the result store from it, restore in-flight
+ *                 one-member jobs from their latest valid checkpoint and
+ *                 re-run the others from scratch
  *   --hang-timeout=S  abort + quarantine runs making no forward
  *                 progress for S wall seconds (default 300; 0 = off)
  *   --telemetry-dir=DIR  write per-run telemetry artifacts under DIR
@@ -102,9 +103,6 @@ struct RunOptions
     /** The ReplKind `policy` resolved to (valid iff policy != ""). */
     ReplKind policyKind = ReplKind::LRU;
 
-    /** Sampling period for liveness series (cycles). */
-    Cycle samplePeriod = 20'000;
-
     /** Concurrent simulations; 0 = hardware concurrency, 1 = serial. */
     std::uint32_t jobs = 0;
 
@@ -136,29 +134,32 @@ struct RunOptions
     /**
      * Checkpoint cadence in references (0 = off).  When set together
      * with sweepDir, every one-member job (the plain engine) persists
-     * its full simulated state to `<sweepDir>/ckpt-b<batch>-r<run>.ckpt`
+     * its full simulated state to `<sweepDir>/ckpt-<digest16>.ckpt`
      * every N references, at a quiescent point, so a killed sweep can
-     * resume mid-run.  The file carries the run's request digest
-     * (svc::requestDigest), and a resumed run restores only a checkpoint
-     * with its own digest.  Fan-out jobs take no checkpoints: they
-     * resume per job.  Ignored (with a warning) when a
+     * resume mid-run.  The name is the run's request digest
+     * (runRequest), which the file also carries: a resumed run restores
+     * only a checkpoint with its own digest, whether or not its own
+     * launch sets this interval.  Fan-out jobs take no checkpoints:
+     * they resume per job.  Ignored (with a warning) when a
      * GenerationTracker is attached: observer history is not part of
      * the simulated state.
      */
     std::uint64_t checkpointInterval = 0;
 
     /**
-     * Sweep working directory for the journal, per-run result blobs,
-     * checkpoints and hang dumps ("" disables all persistence).
+     * Sweep working directory ("" disables all persistence): the
+     * journal `sweep.journal`, the result store `results/` that
+     * runConfigsOverMixes keeps every finished run in, checkpoints and
+     * hang dumps.
      */
     std::string sweepDir;
 
     /**
-     * Resume mode (--resume=DIR): journaled ok/retried jobs are skipped
-     * (their results reloaded from the digest-checked result blobs);
-     * unjournaled or quarantined jobs re-execute, a one-member job
-     * restoring from its latest valid checkpoint when one exists and
-     * falling back to a from-scratch run on any snapshot error.
+     * Resume mode (--resume=DIR): runConfigsOverMixes fills every job
+     * whose runs are all in the result store from it and runs only the
+     * others, a one-member job restoring from its latest valid
+     * checkpoint when one exists and falling back to a from-scratch run
+     * on any snapshot error.
      */
     bool resume = false;
 
@@ -167,20 +168,12 @@ struct RunOptions
      * references) does not advance for this many wall seconds is
      * cooperatively aborted (SimError(Hang)), state-dumped to
      * `<sweepDir>/hang-b<batch>-r<run>.dump` when it is a one-member
-     * job, and routed into the retry/quarantine path.  0 disables.
-     * Tests constructing RunOptions directly get it off; parseArgs
-     * turns it on (300 s) for the bench CLIs.
+     * job, and routed into the retry/quarantine path.  Only the newest
+     * eight dumps are kept (pruneHangDumps).  0 disables.  Tests
+     * constructing RunOptions directly get it off; parseArgs turns it
+     * on (300 s) for the bench CLIs.
      */
     double hangTimeout = 0.0;
-
-    /**
-     * How many hang-*.dump diagnostics to keep under sweepDir: after a
-     * new dump lands, only the newest hangDumpKeep survive (oldest by
-     * modification time are deleted).  A sweep that keeps hitting its
-     * watchdog across relaunches would otherwise accumulate dumps
-     * without bound.  0 keeps everything.
-     */
-    std::size_t hangDumpKeep = 8;
 
     /**
      * Test hook simulating a kill -9: the run throws SimError(Snapshot)
@@ -258,19 +251,6 @@ struct RunOutcome
     std::uint32_t attempts = 1; //!< 1 normally, 2 after a retry
     double wallSeconds = 0.0;   //!< wall time across all attempts
     std::string error;          //!< last SimError message ("" when Ok)
-    bool fromJournal = false;   //!< skipped on resume, result reloaded
-};
-
-/**
- * Optional result persistence for forEachRun: save() serializes run
- * i's slot after the body succeeds, load() refills it from a journaled
- * blob on resume.  Runs without a codec always re-execute on resume
- * (deterministic bodies make that equivalent, just slower).
- */
-struct ResultCodec
-{
-    std::function<void(std::size_t, Serializer &)> save;
-    std::function<void(std::size_t, Deserializer &)> load;
 };
 
 /** Reset the process-global batch counter (tests only). */
@@ -299,6 +279,16 @@ void pruneHangDumps(const std::string &dir, std::size_t keep);
                                     nullptr,
                                 const std::string &feed_cache_dir = {});
 
+/**
+ * The request that grid cell (@p cfg, @p mix) runs under @p opt: the
+ * config with the run's seed, the mix, and the seed, scale and windows.
+ * Its canonical bytes key the sweep's result store, and its digest
+ * names the cell's checkpoint.  A daemon whose cache directory is the
+ * store (`<sweepDir>/results`) answers the same request.
+ */
+svc::RunRequest runRequest(SystemConfig cfg, const Mix &mix,
+                           const RunOptions &opt);
+
 /** Quarantined runs across every batch in this process. */
 std::uint64_t quarantinedRunsTotal();
 
@@ -310,6 +300,26 @@ void setExitOnQuarantine(bool enable);
 
 /** The BENCH_harness.json payload for the batches run so far. */
 std::string perfRecordJson();
+
+/**
+ * Strict numeric flag values, shared by parseArgs and the rc-daemon and
+ * rc-client CLIs.  A value that is not what the flag needs (empty, a
+ * sign, an exponent, trailing characters, overflow) prints @c usage to
+ * stderr and ends the process through fatal(), naming the flag.
+ */
+struct NumericFlags
+{
+    const char *usage; //!< the CLI's own usage text
+
+    /** The whole of @p value as an unsigned decimal no larger than
+     *  @p max. */
+    std::uint64_t count(const char *flag, const char *value,
+                        std::uint64_t max = UINT64_MAX) const;
+
+    /** The whole of @p value as a finite number >= 0 (a timeout in
+     *  seconds). */
+    double seconds(const char *flag, const char *value) const;
+};
 
 /** Parse the common flags; unknown flags abort with the usage string. */
 RunOptions parseArgs(int argc, char **argv);
@@ -343,19 +353,15 @@ std::uint32_t effectiveJobs(const RunOptions &opt);
  * quarantines the run (its slot keeps default values) while every
  * other run completes normally.  Any other exception still propagates.
  *
- * With opt.sweepDir set, every completed run is journaled (fsync'd
- * append) and, when @p codec is given, its result is persisted to a
- * digest-checked blob; with opt.resume also set, journaled ok/retried
- * runs are skipped and their slots refilled from those blobs, so the
- * aggregated output is bit-identical to an uninterrupted sweep.  With
- * opt.hangTimeout > 0 a monitor thread aborts runs whose heartbeat
- * stalls (see RunOptions::hangTimeout).
+ * With opt.sweepDir set, every finished run is logged to the sweep
+ * journal (fsync'd append), a log of this launch that nothing reads
+ * back to decide what runs.  With opt.hangTimeout > 0 a monitor thread
+ * aborts runs whose heartbeat stalls (see RunOptions::hangTimeout).
  * @return one RunOutcome per run, in index order.
  */
 std::vector<RunOutcome> forEachRun(
     std::size_t n, const RunOptions &opt,
-    const std::function<void(std::size_t)> &body,
-    const ResultCodec *codec = nullptr);
+    const std::function<void(std::size_t)> &body);
 
 /**
  * IPC ratio @p sys_ipc / @p baseline_ipc with the zero-baseline guard
@@ -429,9 +435,11 @@ std::vector<RunResult> runMixFanout(const std::vector<SystemConfig> &cfgs,
  * to runMix, so the results are the same at any --jobs=N and under any
  * flag; --sweep-dir, --resume and --inject keep fan-out.  A figure
  * declares its whole grid here once (baseline in column 0) and reads
- * its rows from the matrix.  The sweep journals one record per job, and
- * its persisted results carry each run's request digest, so a resumed
- * sweep reloads a result only into the run that produced it.
+ * its rows from the matrix.  With opt.sweepDir set, the sweep journals
+ * one record per job and stores every finished run in the result store
+ * `<sweepDir>/results` (svc::ResultCache, keyed by runRequest); with
+ * opt.resume also set, a job whose runs are all in the store is filled
+ * from it and only the other jobs run, whatever grid stored them.
  * @return results[config][mix].
  */
 std::vector<std::vector<RunResult>>

@@ -69,6 +69,10 @@ class GenerationTracker : public LlcObserver
     std::uint64_t hitsSeen = 0;
 };
 
+/** Sampling period of the live-line series behind Figures 1a and 7
+ *  (cycles). */
+constexpr Cycle liveSamplePeriod = 20'000;
+
 /** Sampled live-line fraction over time (Figure 1a). */
 struct LiveSeries
 {

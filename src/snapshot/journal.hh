@@ -2,20 +2,20 @@
  * @file
  * Append-only sweep journal.
  *
- * `forEachRun` records one line per completed run, fsync'd before the
- * append returns, so a killed sweep can be relaunched with `--resume=DIR`
- * and skip everything that already finished.  The format is plain text —
- * one `run` line per record, human-readable for post-mortems:
+ * `forEachRun` records one line per finished run, fsync'd before the
+ * append returns: the log of what each launch of a sweep ran and how it
+ * ended.  What a `--resume=DIR` relaunch skips is decided by the sweep's
+ * result store, not by this log.  The format is plain text — one `run`
+ * line per record, human-readable for post-mortems:
  *
  *   # rc sweep journal v1
- *   run b=0 r=2 status=ok attempts=1 digest=0x5f3a9c01 wall=1.042 err=
+ *   run b=0 r=2 status=ok attempts=1 digest=0x00000000 wall=1.042 err=
  *
- * `b` is the batch index (which forEachRun call within the process — a
- * bench executes the same batch sequence on every launch, so the pair
- * (b, r) names a run stably across relaunches), `digest` is the CRC32 of
- * the run's persisted result payload (0 when no result blob was written),
- * and `err` holds the final SimError text for quarantined runs.  A torn
- * final line (no trailing newline — the process died mid-append) is
+ * `b` is the batch index (which forEachRun call within the process) and
+ * `r` the run within it, so (b, r) names a run of that launch.  `digest`
+ * is a caller-defined 32-bit tag; the harness writes 0, the "none"
+ * value.  `err` holds the final SimError text for quarantined runs.  A
+ * torn final line (no trailing newline — the process died mid-append) is
  * ignored on load.
  */
 
@@ -38,7 +38,7 @@ struct JournalRecord
     std::uint64_t run = 0;
     std::string status;        //!< "ok" | "retried" | "quarantined"
     std::uint32_t attempts = 1;
-    std::uint32_t digest = 0;  //!< CRC32 of the result blob payload; 0 = none
+    std::uint32_t digest = 0;  //!< caller-defined tag; 0 = none
     double wallSeconds = 0.0;
     std::string error;         //!< final SimError text (quarantined runs)
 };

@@ -477,6 +477,49 @@ TEST(DaemonService, RestartOnTheSameCacheDirRecoversIntactEntries)
     daemon.stop();
 }
 
+/**
+ * A sweep's result store is the daemon's cache format under one key: a
+ * daemon serving `<sweepDir>/results` answers every cell of the grid
+ * that filled it without simulating anything.
+ */
+TEST(DaemonService, ServesASweepsResultStore)
+{
+    Scratch s("daemon-sweep-store");
+    bench::RunOptions opt;
+    opt.mixCount = 2;
+    opt.warmup = 1'000;
+    opt.measure = 4'000;
+    opt.jobs = 2;
+    opt.sweepDir = s.cacheDir + "-sweep";
+    const std::vector<SystemConfig> cfgs = {baselineSystem(8),
+                                            reuseSystem(4.0, 1.0, 0, 8)};
+    const std::vector<Mix> mixes = makeMixes(opt.mixCount, 8, 7);
+    const auto grid = bench::runConfigsOverMixes(cfgs, mixes, opt);
+
+    DaemonConfig dcfg = daemonConfig(s);
+    dcfg.cacheDir = opt.sweepDir + "/results";
+    Daemon daemon(dcfg, [](const RunRequest &, const std::atomic<bool> *,
+                           std::atomic<std::uint64_t> *) {
+        ADD_FAILURE() << "the daemon simulated a cell the sweep stored";
+        return RunResult{};
+    });
+    daemon.start();
+    RcClient client(clientConfig(s));
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        for (std::size_t m = 0; m < mixes.size(); ++m) {
+            SCOPED_TRACE("config " + std::to_string(i) + " mix " +
+                         std::to_string(m));
+            EXPECT_TRUE(runResultsEqual(
+                client.simulate(bench::runRequest(cfgs[i], mixes[m], opt)),
+                grid[i][m]));
+        }
+    }
+    EXPECT_EQ(daemon.counters().cacheHits, cfgs.size() * mixes.size());
+    EXPECT_EQ(daemon.counters().simulated, 0u);
+    daemon.requestStop();
+    daemon.stop();
+}
+
 TEST(DaemonService, CoalescesConcurrentDuplicateRequests)
 {
     Scratch s("daemon-coalesce");

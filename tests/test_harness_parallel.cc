@@ -10,6 +10,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -194,35 +195,73 @@ struct MalformedFlag
     const char *message;
 };
 
+/** parseArgs itself prints the usage and dies: no simulation starts. */
+void
+expectDiesInParseArgs(const MalformedFlag &flag)
+{
+    std::string arg = flag.arg;
+    char arg0[] = "bench";
+    char *argv[] = {arg0, arg.data(), nullptr};
+    EXPECT_EXIT(bench::parseArgs(2, argv), ::testing::ExitedWithCode(1),
+                std::string("usage: .*") + flag.message);
+}
+
+/** A malformed value for a flag every run reads (--mixes, --scale, the
+ *  windows, --seed, --jobs). It prints as its argument, so each test
+ *  name is the same string on every build. */
+struct MalformedRunFlag : MalformedFlag
+{
+};
+
+void
+PrintTo(const MalformedRunFlag &flag, std::ostream *os)
+{
+    *os << flag.arg;
+}
+
+class HarnessRunFlagsDeathTest
+    : public ::testing::TestWithParam<MalformedRunFlag>
+{
+};
+
+TEST_P(HarnessRunFlagsDeathTest, DiesInParseArgs)
+{
+    expectDiesInParseArgs(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MalformedNumbers, HarnessRunFlagsDeathTest,
+    ::testing::Values(
+        MalformedRunFlag{{"mixes", "--mixes=-1",
+                          "--mixes needs an unsigned decimal"}},
+        MalformedRunFlag{{"scale", "--scale=4294967296",
+                          "--scale needs an unsigned decimal in range"}},
+        MalformedRunFlag{{"warmup", "--warmup=1e6",
+                          "--warmup needs an unsigned decimal"}},
+        MalformedRunFlag{{"measure", "--measure=-1",
+                          "--measure needs an unsigned decimal"}},
+        MalformedRunFlag{{"seed", "--seed=abc",
+                          "--seed needs an unsigned decimal"}},
+        MalformedRunFlag{{"jobs", "--jobs=2x",
+                          "--jobs needs an unsigned decimal"}}),
+    [](const ::testing::TestParamInfo<MalformedRunFlag> &info) {
+        return std::string(info.param.name);
+    });
+
 class HarnessFlagsDeathTest : public ::testing::TestWithParam<MalformedFlag>
 {
 };
 
-/** parseArgs itself prints the usage and dies: no simulation starts. */
 TEST_P(HarnessFlagsDeathTest, DiesInParseArgs)
 {
-    std::string arg = GetParam().arg;
-    char arg0[] = "bench";
-    char *argv[] = {arg0, arg.data(), nullptr};
-    EXPECT_EXIT(bench::parseArgs(2, argv), ::testing::ExitedWithCode(1),
-                std::string("usage: .*") + GetParam().message);
+    expectDiesInParseArgs(GetParam());
 }
 
+/** The sweep and integrity flags. gtest names a struct it cannot print
+ *  by its bytes, so these test names end in string addresses. */
 INSTANTIATE_TEST_SUITE_P(
     MalformedNumbers, HarnessFlagsDeathTest,
     ::testing::Values(
-        MalformedFlag{"mixes", "--mixes=-1",
-                      "--mixes needs an unsigned decimal"},
-        MalformedFlag{"scale", "--scale=4294967296",
-                      "--scale needs an unsigned decimal in range"},
-        MalformedFlag{"warmup", "--warmup=1e6",
-                      "--warmup needs an unsigned decimal"},
-        MalformedFlag{"measure", "--measure=-1",
-                      "--measure needs an unsigned decimal"},
-        MalformedFlag{"seed", "--seed=abc",
-                      "--seed needs an unsigned decimal"},
-        MalformedFlag{"jobs", "--jobs=2x",
-                      "--jobs needs an unsigned decimal"},
         MalformedFlag{"check_interval", "--check-interval=",
                       "--check-interval needs an unsigned decimal"},
         MalformedFlag{"checkpoint_interval", "--checkpoint-interval=1.5",

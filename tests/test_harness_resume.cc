@@ -2,20 +2,22 @@
  * @file
  * Resumable-sweep and watchdog tests for the bench harness: a journaled
  * sweep relaunched with resume skips finished runs and reloads their
- * results, a sweep killed mid-run restores from its checkpoints to a
- * bit-identical aggregate, a livelocked run is detected, state-dumped
- * and quarantined while its siblings complete, a batch with the
- * watchdog armed ends with its last run, and a quarantine retry with a
- * generation tracker attached reproduces a clean run exactly.  A
- * journaled grid keeps fan-out and resumes per job.  Persisted results
- * and checkpoints are matched to their run by request digest, so a
- * relaunch with other options or configs never reloads them.
+ * results from the sweep's result store, a sweep killed mid-run
+ * restores from its checkpoints to a bit-identical aggregate, a
+ * livelocked run is detected, state-dumped and quarantined while its
+ * siblings complete, a batch with the watchdog armed ends with its last
+ * run, and a quarantine retry with a generation tracker attached
+ * reproduces a clean run exactly.  A journaled grid keeps fan-out and
+ * resumes per job.  Stored results and checkpoints are found by the
+ * run's request, so a relaunch with other options or configs never
+ * reloads them, and one with another grid reloads the cells it shares.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "analysis/liveness.hh"
 #include "cache/replacement.hh"
 #include "harness.hh"
+#include "service/result_cache.hh"
 #include "sim/system_config.hh"
 #include "snapshot/journal.hh"
 #include "snapshot/serializer.hh"
@@ -58,20 +61,21 @@ sweepDir(const std::string &name)
            std::to_string(::getpid());
 }
 
-/** Drop any journal/blob/checkpoint litter a previous test left. */
+/** Drop any journal/store/checkpoint litter a previous test left. */
 void
 scrubDir(const std::string &dir)
 {
-    std::remove((dir + "/sweep.journal").c_str());
-    for (int b = 0; b < 4; ++b)
-        for (int r = 0; r < 8; ++r)
-            for (const char *pat : {"result-b%d-r%d.bin",
-                                    "ckpt-b%d-r%d.ckpt",
-                                    "hang-b%d-r%d.dump"}) {
-                char buf[64];
-                std::snprintf(buf, sizeof(buf), pat, b, r);
-                std::remove((dir + "/" + buf).c_str());
-            }
+    (void)std::system(("rm -rf '" + dir + "'").c_str());
+}
+
+/** Where grid cell (@p cfg, @p mix) checkpoints under @p opt. */
+std::string
+checkpointPath(const SystemConfig &cfg, const Mix &mix,
+               const bench::RunOptions &opt)
+{
+    return opt.sweepDir + "/ckpt-" +
+           digestHex(svc::requestDigest(bench::runRequest(cfg, mix, opt))) +
+           ".ckpt";
 }
 
 bool
@@ -100,49 +104,6 @@ expectIdentical(const bench::RunResult &a, const bench::RunResult &b)
     EXPECT_EQ(a.llcAccesses, b.llcAccesses);
     EXPECT_EQ(a.llcMemFetches, b.llcMemFetches);
     EXPECT_EQ(a.dramReads, b.dramReads);
-}
-
-/** The same full-RunResult persistence the production sweeps use. */
-bench::ResultCodec
-makeCodec(std::vector<bench::RunResult> &results)
-{
-    bench::ResultCodec codec;
-    codec.save = [&results](std::size_t i, Serializer &s) {
-        const bench::RunResult &r = results[i];
-        s.putDouble(r.aggregateIpc);
-        s.putU64(r.coreIpc.size());
-        for (double v : r.coreIpc)
-            s.putDouble(v);
-        s.putU64(r.mpki.size());
-        for (const MpkiTriple &m : r.mpki) {
-            s.putDouble(m.l1);
-            s.putDouble(m.l2);
-            s.putDouble(m.llc);
-        }
-        s.putDouble(r.fracNeverEnteredData);
-        s.putU64(r.llcAccesses);
-        s.putU64(r.llcMemFetches);
-        s.putU64(r.dramReads);
-    };
-    codec.load = [&results](std::size_t i, Deserializer &d) {
-        bench::RunResult r;
-        r.aggregateIpc = d.getDouble();
-        r.coreIpc.resize(d.getU64());
-        for (double &v : r.coreIpc)
-            v = d.getDouble();
-        r.mpki.resize(d.getU64());
-        for (MpkiTriple &m : r.mpki) {
-            m.l1 = d.getDouble();
-            m.l2 = d.getDouble();
-            m.llc = d.getDouble();
-        }
-        r.fracNeverEnteredData = d.getDouble();
-        r.llcAccesses = d.getU64();
-        r.llcMemFetches = d.getU64();
-        r.dramReads = d.getU64();
-        results[i] = r;
-    };
-    return codec;
 }
 
 /** Serial reference sweep: no journal, no checkpoints, no watchdog. */
@@ -204,68 +165,53 @@ TEST(HarnessResume, JournaledRunsAreSkippedAndReloadedOnResume)
     const std::string dir = sweepDir("resume-skip");
     scrubDir(dir);
 
-    // First launch: everything runs and is journaled.
+    // First launch: everything runs, is journaled and is stored.
     auto first = base;
     first.sweepDir = dir;
     bench::resetSweepBatchesForTest();
-    std::vector<bench::RunResult> got(mixes.size());
-    const auto codec = makeCodec(got);
-    const auto outcomes1 =
-        bench::forEachRun(mixes.size(), first, [&](std::size_t i) {
-            got[i] = bench::runMix(sys, mixes[i], first);
-        }, &codec);
-    for (const bench::RunOutcome &o : outcomes1) {
-        EXPECT_EQ(o.status, bench::RunStatus::Ok) << o.error;
-        EXPECT_FALSE(o.fromJournal);
-    }
-    EXPECT_EQ(SweepJournal::load(dir).size(), mixes.size());
+    const auto got = bench::runConfigsOverMixes({sys}, mixes, first);
+    const auto records = SweepJournal::load(dir);
+    ASSERT_EQ(records.size(), mixes.size());
+    for (const JournalRecord &rec : records)
+        EXPECT_EQ(rec.status, "ok") << rec.error;
+    for (std::size_t m = 0; m < mixes.size(); ++m)
+        expectIdentical(got[0][m], ref[m]);
 
-    // Relaunch with resume: no body runs, every slot reloads from its
-    // digest-checked blob, and the aggregate matches the serial sweep.
+    // Relaunch with resume: no job runs (a run would be journaled), and
+    // every cell reloads from the result store.
     auto second = first;
     second.resume = true;
     bench::resetSweepBatchesForTest();
-    std::vector<bench::RunResult> reloaded(mixes.size());
-    const auto codec2 = makeCodec(reloaded);
-    std::vector<char> ran(mixes.size(), 0);
-    const auto outcomes2 =
-        bench::forEachRun(mixes.size(), second, [&](std::size_t i) {
-            ran[i] = 1;
-            reloaded[i] = bench::runMix(sys, mixes[i], second);
-        }, &codec2);
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-        EXPECT_FALSE(ran[i]) << "run " << i << " re-executed";
-        EXPECT_EQ(outcomes2[i].status, bench::RunStatus::Ok);
-        EXPECT_TRUE(outcomes2[i].fromJournal);
-        expectIdentical(reloaded[i], ref[i]);
-    }
+    const auto reloaded = bench::runConfigsOverMixes({sys}, mixes, second);
+    EXPECT_EQ(SweepJournal::load(dir).size(), mixes.size())
+        << "a stored run re-executed";
+    for (std::size_t m = 0; m < mixes.size(); ++m)
+        expectIdentical(reloaded[0][m], ref[m]);
 
-    // A corrupted result blob must force a re-run, not bad data.
-    auto third = second;
+    // A corrupted stored result must force a re-run of its own run, not
+    // bad data: one more journal record, and the blob is whole again.
+    const svc::RunRequest corrupt = bench::runRequest(sys, mixes[1], second);
+    const std::string blob = svc::ResultCache(dir + "/results")
+                                 .blobPath(svc::requestDigest(corrupt));
     {
-        const std::string blob = dir + "/result-b0-r1.bin";
         std::FILE *f = std::fopen(blob.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
+        ASSERT_NE(f, nullptr) << blob;
         std::fseek(f, 20, SEEK_SET);
         std::fputc(0xff, f);
         std::fclose(f);
     }
     bench::resetSweepBatchesForTest();
-    std::vector<bench::RunResult> fixed(mixes.size());
-    const auto codec3 = makeCodec(fixed);
-    std::vector<char> ran3(mixes.size(), 0);
-    const auto outcomes3 =
-        bench::forEachRun(mixes.size(), third, [&](std::size_t i) {
-            ran3[i] = 1;
-            fixed[i] = bench::runMix(sys, mixes[i], third);
-        }, &codec3);
-    EXPECT_FALSE(ran3[0]);
-    EXPECT_TRUE(ran3[1]) << "corrupt blob must re-run its run";
-    EXPECT_FALSE(ran3[2]);
-    EXPECT_EQ(outcomes3[1].status, bench::RunStatus::Ok);
-    EXPECT_FALSE(outcomes3[1].fromJournal);
-    for (std::size_t i = 0; i < mixes.size(); ++i)
-        expectIdentical(fixed[i], ref[i]);
+    const auto fixed = bench::runConfigsOverMixes({sys}, mixes, second);
+    const auto after = SweepJournal::load(dir);
+    ASSERT_EQ(after.size(), mixes.size() + 1)
+        << "a corrupt stored result must re-run its run and only it";
+    EXPECT_EQ(after.back().status, "ok") << after.back().error;
+    RunResult restored;
+    EXPECT_TRUE(svc::ResultCache(dir + "/results").lookup(corrupt, restored))
+        << "the re-run did not store its result again";
+    expectIdentical(restored, ref[1]);
+    for (std::size_t m = 0; m < mixes.size(); ++m)
+        expectIdentical(fixed[0][m], ref[m]);
 }
 
 TEST(HarnessResume, CrashedSweepResumesFromCheckpointsBitIdentically)
@@ -291,62 +237,77 @@ TEST(HarnessResume, CrashedSweepResumesFromCheckpointsBitIdentically)
     // so 40k lands mid-measurement — the checkpoint carries phase 1.
     crashing.crashAfterRefs = 40'000;
     bench::resetSweepBatchesForTest();
-    std::vector<bench::RunResult> got(mixes.size());
-    const auto codec = makeCodec(got);
-    const auto outcomes1 =
-        bench::forEachRun(mixes.size(), crashing, [&](std::size_t i) {
-            got[i] = bench::runMix(sys, mixes[i], crashing);
-        }, &codec);
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-        EXPECT_EQ(outcomes1[i].status, bench::RunStatus::Quarantined)
-            << outcomes1[i].error;
-        EXPECT_TRUE(fileExists(dir + "/ckpt-b0-r" + std::to_string(i) +
-                               ".ckpt"))
-            << "crashed run " << i << " left no checkpoint";
-    }
+    bench::runConfigsOverMixes({sys}, mixes, crashing);
+    const auto records = SweepJournal::load(dir);
+    ASSERT_EQ(records.size(), mixes.size());
+    for (const JournalRecord &rec : records)
+        EXPECT_EQ(rec.status, "quarantined");
+    for (std::size_t m = 0; m < mixes.size(); ++m)
+        EXPECT_TRUE(fileExists(checkpointPath(sys, mixes[m], crashing)))
+            << "crashed run " << m << " left no checkpoint";
 
-    // Relaunch: quarantined runs re-execute, restoring mid-measurement
-    // state from their checkpoints instead of starting over.
+    // Relaunch: the quarantined runs stored nothing, so they re-execute,
+    // restoring mid-measurement state from their checkpoints instead of
+    // starting over.
     auto resumed = crashing;
     resumed.resume = true;
     resumed.crashAfterRefs = 0;
     bench::resetSweepBatchesForTest();
-    std::vector<bench::RunResult> after(mixes.size());
-    const auto codec2 = makeCodec(after);
-    const auto outcomes2 =
-        bench::forEachRun(mixes.size(), resumed, [&](std::size_t i) {
-            after[i] = bench::runMix(sys, mixes[i], resumed);
-        }, &codec2);
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-        EXPECT_EQ(outcomes2[i].status, bench::RunStatus::Ok)
-            << outcomes2[i].error;
-        EXPECT_FALSE(outcomes2[i].fromJournal);
-        expectIdentical(after[i], ref[i]);
-        EXPECT_FALSE(fileExists(dir + "/ckpt-b0-r" + std::to_string(i) +
-                                ".ckpt"))
-            << "checkpoint of run " << i << " not removed on success";
+    const auto after = bench::runConfigsOverMixes({sys}, mixes, resumed);
+    const auto records2 = SweepJournal::load(dir);
+    ASSERT_EQ(records2.size(), 2 * mixes.size());
+    for (std::size_t r = mixes.size(); r < records2.size(); ++r)
+        EXPECT_EQ(records2[r].status, "ok") << records2[r].error;
+    for (std::size_t m = 0; m < mixes.size(); ++m) {
+        expectIdentical(after[0][m], ref[m]);
+        EXPECT_FALSE(fileExists(checkpointPath(sys, mixes[m], resumed)))
+            << "checkpoint of run " << m << " not removed on success";
     }
 
-    // A third launch skips everything: the journal's latest records win.
+    // A third launch skips everything: every run is in the store.
     bench::resetSweepBatchesForTest();
-    std::vector<bench::RunResult> third(mixes.size());
-    const auto codec3 = makeCodec(third);
-    std::vector<char> ran(mixes.size(), 0);
-    bench::forEachRun(mixes.size(), resumed, [&](std::size_t i) {
-        ran[i] = 1;
-        third[i] = bench::runMix(sys, mixes[i], resumed);
-    }, &codec3);
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-        EXPECT_FALSE(ran[i]);
-        expectIdentical(third[i], ref[i]);
-    }
+    const auto third = bench::runConfigsOverMixes({sys}, mixes, resumed);
+    EXPECT_EQ(SweepJournal::load(dir).size(), 2 * mixes.size());
+    for (std::size_t m = 0; m < mixes.size(); ++m)
+        expectIdentical(third[0][m], ref[m]);
 }
 
 /**
- * A persisted result is matched to its run by request digest, not by
- * its (batch, run) position: a sweep resumed under another seed reuses
- * the same positions, so without the digest it would reload the first
- * seed's numbers into every cell.
+ * A relaunch restores a killed run's checkpoint even when it takes no
+ * checkpoints itself: --resume=DIR alone picks up where the run
+ * stopped, and the run removes the checkpoint once it completes.
+ */
+TEST(HarnessResume, ResumeWithoutCheckpointIntervalRestores)
+{
+    bench::setExitOnQuarantine(false);
+    const SystemConfig sys = baselineSystem(8);
+    const auto mixes = makeMixes(1, 8, 7);
+    const auto ref = referenceSweep(sys, mixes, smokeOptions(1));
+    const std::string dir = sweepDir("resume-no-interval");
+    scrubDir(dir);
+
+    auto crashing = smokeOptions(1);
+    crashing.sweepDir = dir;
+    crashing.checkpointInterval = 5'000;
+    crashing.crashAfterRefs = 40'000;
+    bench::resetSweepBatchesForTest();
+    bench::runConfigsOverMixes({sys}, mixes, crashing);
+    const std::string ckpt = checkpointPath(sys, mixes[0], crashing);
+    ASSERT_TRUE(fileExists(ckpt)) << "the crashed run left no checkpoint";
+
+    auto resumed = smokeOptions(1);
+    resumed.sweepDir = dir;
+    resumed.resume = true;
+    bench::resetSweepBatchesForTest();
+    const auto got = bench::runConfigsOverMixes({sys}, mixes, resumed);
+    expectIdentical(got[0][0], ref[0]);
+    EXPECT_FALSE(fileExists(ckpt)) << "the resumed run ignored its checkpoint";
+}
+
+/**
+ * A stored result is found by its run's request, not by its (batch,
+ * run) position: a sweep resumed under another seed has the same
+ * positions, and must not reload the first seed's numbers into them.
  */
 TEST(HarnessResume, ResumedSweepUnderAnotherSeedReSimulates)
 {
@@ -387,8 +348,8 @@ TEST(HarnessResume, ResumedSweepUnderAnotherSeedReSimulates)
 /**
  * A journaled grid keeps fan-out: one job, and so one journal record,
  * per mix rather than per (config, mix).  Its results match runMix cell
- * for cell, and a resumed relaunch reloads every job from the journal
- * without simulating (a simulated job would append a record).
+ * for cell, and a resumed relaunch reloads every job from the result
+ * store without simulating (a simulated job would append a record).
  */
 TEST(HarnessResume, JournaledGridKeepsFanoutAndResumesPerJob)
 {
@@ -434,31 +395,73 @@ TEST(HarnessResume, JournaledGridKeepsFanoutAndResumesPerJob)
 }
 
 /**
- * Runs outside forEachRun all checkpoint to ckpt-solo.ckpt; a resumed
- * run of another config must not restore the checkpoint a crashed run
- * left there, but start from scratch.
+ * A relaunch under another grid reloads the cells the two grids share:
+ * the store is keyed by each run's request, so a fan-out job of the
+ * first launch stored every member on its own.
+ */
+TEST(HarnessResume, ResumeUnderAnotherGridReloadsSharedCells)
+{
+    bench::setExitOnQuarantine(false);
+    const SystemConfig rc41 = reuseSystem(4.0, 1.0, 0, 8);
+    const auto mixes = makeMixes(2, 8, 7);
+    const std::string dir = sweepDir("resume-regrid");
+    scrubDir(dir);
+
+    auto first = smokeOptions(2);
+    first.sweepDir = dir;
+    bench::resetSweepBatchesForTest();
+    const auto grid =
+        bench::runConfigsOverMixes({baselineSystem(8), rc41}, mixes, first);
+    const std::size_t journaled = SweepJournal::load(dir).size();
+    ASSERT_GT(journaled, 0u);
+
+    auto resumed = first;
+    resumed.resume = true;
+    bench::resetSweepBatchesForTest();
+    const auto got = bench::runConfigsOverMixes({rc41}, mixes, resumed);
+    EXPECT_EQ(SweepJournal::load(dir).size(), journaled)
+        << "a cell the first grid stored was simulated again";
+    for (std::size_t m = 0; m < mixes.size(); ++m) {
+        SCOPED_TRACE("mix " + std::to_string(m));
+        expectIdentical(got[0][m], grid[1][m]);
+    }
+}
+
+/**
+ * A checkpoint is found by its run's request digest, and the file
+ * carries that digest too: a checkpoint copied over another run's name
+ * must not be restored, and the run starts from scratch.
  */
 TEST(HarnessResume, CheckpointOfAnotherConfigIsNotRestored)
 {
+    bench::setExitOnQuarantine(false);
     const SystemConfig base = baselineSystem(8);
     SystemConfig slower = base;
     slower.xbar.linkLatency += 3;
     const auto mixes = makeMixes(1, 8, 7);
-    const std::string dir = sweepDir("resume-solo");
-    const std::string ckpt = dir + "/ckpt-solo.ckpt";
-    std::remove(ckpt.c_str());
+    const std::string dir = sweepDir("resume-foreign-ckpt");
+    scrubDir(dir);
 
     auto crashing = smokeOptions(1);
     crashing.sweepDir = dir;
     crashing.checkpointInterval = 5'000;
     crashing.crashAfterRefs = 40'000;
-    EXPECT_THROW(bench::runMix(base, mixes[0], crashing), SimError);
-    ASSERT_TRUE(fileExists(ckpt)) << "the crashed run left no checkpoint";
+    bench::resetSweepBatchesForTest();
+    bench::runConfigsOverMixes({base}, mixes, crashing);
+    const std::string baseCkpt = checkpointPath(base, mixes[0], crashing);
+    ASSERT_TRUE(fileExists(baseCkpt)) << "the crashed run left no checkpoint";
+
+    // Put the base run's checkpoint where the slower run looks for its
+    // own: only the digest inside the file can reject it.
+    const std::string slowerCkpt = checkpointPath(slower, mixes[0], crashing);
+    ASSERT_EQ(std::rename(baseCkpt.c_str(), slowerCkpt.c_str()), 0);
 
     auto resumed = crashing;
     resumed.resume = true;
     resumed.crashAfterRefs = 0;
-    const bench::RunResult got = bench::runMix(slower, mixes[0], resumed);
+    bench::resetSweepBatchesForTest();
+    const bench::RunResult got =
+        bench::runConfigsOverMixes({slower}, mixes, resumed)[0][0];
     const bench::RunResult want =
         bench::runMix(slower, mixes[0], smokeOptions(1));
     ASSERT_NE(want.aggregateIpc,
@@ -466,7 +469,7 @@ TEST(HarnessResume, CheckpointOfAnotherConfigIsNotRestored)
         << "the two configs must give different numbers for this test "
            "to tell them apart";
     expectIdentical(got, want);
-    std::remove(ckpt.c_str());
+    EXPECT_FALSE(fileExists(slowerCkpt));
 }
 
 TEST(HarnessResume, WatchdogQuarantinesLivelockedRunWhileSiblingsComplete)
@@ -559,10 +562,10 @@ TEST(HarnessResume, HangDumpRetentionKeepsOnlyTheNewest)
     for (int i = 0; i < 12; ++i)
         makeFile("hang-b0-r" + std::to_string(i) + ".dump",
                  1'000'000 + i);
-    makeFile("result-b0-r0.bin", 999);     // not a dump: untouched
+    makeFile("ckpt-0123456789abcdef.ckpt", 999); // not a dump: untouched
     makeFile("hang-unrelated.notdump", 998); // wrong suffix: untouched
 
-    bench::pruneHangDumps(dir, 8); // the RunOptions default
+    bench::pruneHangDumps(dir, 8); // what the harness keeps
     int dumps = 0;
     for (int i = 0; i < 12; ++i)
         if (fileExists(dir + "/hang-b0-r" + std::to_string(i) + ".dump"))
@@ -577,7 +580,7 @@ TEST(HarnessResume, HangDumpRetentionKeepsOnlyTheNewest)
         EXPECT_TRUE(
             fileExists(dir + "/hang-b0-r" + std::to_string(i) + ".dump"))
             << "newest dump " << i << " wrongly pruned";
-    EXPECT_TRUE(fileExists(dir + "/result-b0-r0.bin"));
+    EXPECT_TRUE(fileExists(dir + "/ckpt-0123456789abcdef.ckpt"));
     EXPECT_TRUE(fileExists(dir + "/hang-unrelated.notdump"));
 
     // keep == 0 disables retention entirely.

@@ -22,8 +22,8 @@
  *   rc-client --shutdown   ask the daemon to drain and exit
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -59,6 +59,7 @@ main(int argc, char **argv)
     std::uint32_t mixes = 3;
     rc::svc::RunRequest proto;
     bool wantStats = false, wantShutdown = false, fallback = true;
+    const rc::bench::NumericFlags num{usage};
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -70,19 +71,22 @@ main(int argc, char **argv)
         if (const char *v = value("--socket=")) {
             ccfg.socketPath = v;
         } else if (const char *v = value("--mixes=")) {
-            mixes = static_cast<std::uint32_t>(std::atoi(v));
+            mixes = static_cast<std::uint32_t>(
+                num.count("--mixes", v, UINT32_MAX));
         } else if (const char *v = value("--scale=")) {
-            proto.scale = static_cast<std::uint32_t>(std::atoi(v));
+            proto.scale = static_cast<std::uint32_t>(
+                num.count("--scale", v, UINT32_MAX));
         } else if (const char *v = value("--seed=")) {
-            proto.seed = static_cast<std::uint64_t>(std::atoll(v));
+            proto.seed = num.count("--seed", v);
         } else if (const char *v = value("--warmup=")) {
-            proto.warmup = static_cast<std::uint64_t>(std::atoll(v));
+            proto.warmup = num.count("--warmup", v);
         } else if (const char *v = value("--measure=")) {
-            proto.measure = static_cast<std::uint64_t>(std::atoll(v));
+            proto.measure = num.count("--measure", v);
         } else if (const char *v = value("--deadline-ms=")) {
-            proto.deadlineMs = static_cast<std::uint64_t>(std::atoll(v));
+            proto.deadlineMs = num.count("--deadline-ms", v);
         } else if (const char *v = value("--attempts=")) {
-            ccfg.maxAttempts = static_cast<std::uint32_t>(std::atoi(v));
+            ccfg.maxAttempts = static_cast<std::uint32_t>(
+                num.count("--attempts", v, UINT32_MAX));
         } else if (arg == "--no-fallback") {
             fallback = false;
         } else if (arg == "--stats") {
@@ -97,6 +101,10 @@ main(int argc, char **argv)
                          usage);
             return 2;
         }
+    }
+    if (mixes == 0 || proto.scale == 0 || proto.measure == 0) {
+        std::fputs(usage, stderr);
+        rc::fatal("--mixes, --scale and --measure must be positive");
     }
 
     if (fallback)

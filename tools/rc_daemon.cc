@@ -27,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -111,6 +112,7 @@ main(int argc, char **argv)
     cfg.socketPath = "/tmp/rc-daemon.sock";
     cfg.cacheDir = "rc-cache";
     cfg.hangTimeout = 300.0;
+    const rc::bench::NumericFlags num{usage};
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -124,24 +126,27 @@ main(int argc, char **argv)
         } else if (const char *v = value("--cache-dir=")) {
             cfg.cacheDir = v;
         } else if (const char *v = value("--workers=")) {
-            cfg.workers = static_cast<std::uint32_t>(std::atoi(v));
+            cfg.workers = static_cast<std::uint32_t>(
+                num.count("--workers", v, UINT32_MAX));
         } else if (const char *v = value("--queue-depth=")) {
-            cfg.queueDepth = static_cast<std::size_t>(std::atoll(v));
+            cfg.queueDepth = static_cast<std::size_t>(
+                num.count("--queue-depth", v, SIZE_MAX));
         } else if (const char *v = value("--hang-timeout=")) {
-            cfg.hangTimeout = std::atof(v);
+            cfg.hangTimeout = num.seconds("--hang-timeout", v);
         } else if (const char *v = value("--retry-after-ms=")) {
-            cfg.retryAfterMs = static_cast<std::uint32_t>(std::atoi(v));
+            cfg.retryAfterMs = static_cast<std::uint32_t>(
+                num.count("--retry-after-ms", v, UINT32_MAX));
         } else if (arg == "--isolate") {
             cfg.isolateWorkers = true;
         } else if (const char *v = value("--rlimit-cpu=")) {
-            cfg.workerCpuLimitSeconds =
-                static_cast<std::uint64_t>(std::atoll(v));
+            cfg.workerCpuLimitSeconds = num.count("--rlimit-cpu", v);
         } else if (const char *v = value("--rlimit-as-mb=")) {
+            // In range, so the byte count cannot overflow.
             cfg.workerAddressSpaceBytes =
-                static_cast<std::uint64_t>(std::atoll(v)) * 1024 * 1024;
+                num.count("--rlimit-as-mb", v, UINT64_MAX >> 20) << 20;
         } else if (const char *v = value("--poison-threshold=")) {
-            cfg.poisonThreshold =
-                static_cast<std::uint32_t>(std::atoi(v));
+            cfg.poisonThreshold = static_cast<std::uint32_t>(
+                num.count("--poison-threshold", v, UINT32_MAX));
         } else if (const char *v = value("--feed-cache=")) {
             cfg.feedCacheDir = v;
         } else if (arg == "--help") {
