@@ -215,7 +215,7 @@ struct RunOptions
      * Persistent feed-cache directory for fan-out front ends
      * (--feed-cache=DIR; "" = off).  Fan-out jobs look their
      * (front-end config, mix, seed, scale, windows) key up before
-     * simulating: a warm hit replays the classified StepRecord streams
+     * simulating: a warm hit replays the classified record streams
      * zero-copy from the mapped blob — no stream generation, no
      * private-hierarchy simulation — and a miss captures the streams
      * and stores them crash-safely for every later run.  Results are

@@ -214,7 +214,7 @@ PrivateHierarchy::PrivateHierarchy(const PrivateConfig &cfg_, CoreId core,
 template <bool Rec>
 PrivateMissAction
 PrivateHierarchy::classifyImpl(Addr line_addr, MemOp op, bool is_instr,
-                               StepRecord *rec)
+                               PackedStep *rec)
 {
     PrivateMissAction act;
     act.latency = cfg.l1Latency;
@@ -303,7 +303,7 @@ PrivateHierarchy::classifyImpl(Addr line_addr, MemOp op, bool is_instr,
                 rec->l2Way = static_cast<std::int8_t>(w2);
                 rec->flags = static_cast<std::uint8_t>(
                     rec->flags | (static_cast<std::uint8_t>(st)
-                                  << StepRecord::kFillStateShift));
+                                  << PackedStep::kFillStateShift));
             }
             return act;
         }
@@ -346,7 +346,7 @@ PrivateHierarchy::classify(Addr line_addr, MemOp op, bool is_instr)
 
 PrivateMissAction
 PrivateHierarchy::classifyRecord(Addr line_addr, MemOp op, bool is_instr,
-                                 StepRecord &rec)
+                                 PackedStep &rec)
 {
     return classifyImpl<true>(line_addr, op, is_instr, &rec);
 }
@@ -355,7 +355,7 @@ template <bool Rec>
 bool
 PrivateHierarchy::fillImpl(Addr line_addr, bool is_instr, bool writable,
                            Addr &evict_line, bool &evict_dirty,
-                           StepRecord *rec)
+                           PackedStep *rec)
 {
     const PrivState st = writable ? PrivState::M : PrivState::S;
     std::uint32_t l2w = 0;
@@ -384,10 +384,9 @@ PrivateHierarchy::fillImpl(Addr line_addr, bool is_instr, bool writable,
         rec->l1Way = static_cast<std::int8_t>(l1w);
         rec->l2Way = static_cast<std::int8_t>(l2w);
         if (ev.valid) {
-            rec->victimLine = ev.lineAddr;
-            rec->flags |= StepRecord::kVictim;
+            rec->flags |= PackedStep::kVictim;
             if (ev.dirty)
-                rec->flags |= StepRecord::kVictimDirty;
+                rec->flags |= PackedStep::kVictimDirty;
         }
     }
 
@@ -407,7 +406,7 @@ PrivateHierarchy::fill(Addr line_addr, bool is_instr, bool writable,
 bool
 PrivateHierarchy::fillRecord(Addr line_addr, bool is_instr, bool writable,
                              Addr &evict_line, bool &evict_dirty,
-                             StepRecord &rec)
+                             PackedStep &rec)
 {
     return fillImpl<true>(line_addr, is_instr, writable, evict_line,
                           evict_dirty, &rec);
@@ -431,7 +430,7 @@ PrivateHierarchy::fillPrefetch(Addr line_addr, Addr &evict_line,
 
 template <bool Rec>
 void
-PrivateHierarchy::upgradedImpl(Addr line_addr, StepRecord *rec)
+PrivateHierarchy::upgradedImpl(Addr line_addr, PackedStep *rec)
 {
     const std::int32_t w2 = l2.lookupWay(line_addr);
     RC_ASSERT(w2 >= 0, "upgrade completion for a non-resident line");
@@ -443,7 +442,7 @@ PrivateHierarchy::upgradedImpl(Addr line_addr, StepRecord *rec)
         l1d.wayAt(line_addr, w1).state = PrivState::M;
         if constexpr (Rec) {
             rec->l1Way = static_cast<std::int8_t>(w1);
-            rec->flags |= StepRecord::kUpgL1Hit;
+            rec->flags |= PackedStep::kUpgL1Hit;
         }
     } else {
         std::uint32_t fw = 0;
@@ -462,13 +461,13 @@ PrivateHierarchy::upgraded(Addr line_addr)
 }
 
 void
-PrivateHierarchy::upgradedRecord(Addr line_addr, StepRecord &rec)
+PrivateHierarchy::upgradedRecord(Addr line_addr, PackedStep &rec)
 {
     upgradedImpl<true>(line_addr, &rec);
 }
 
 PrivateMissAction
-PrivateHierarchy::actionOf(const StepRecord &rec) const
+PrivateHierarchy::actionOf(const PackedStep &rec) const
 {
     PrivateMissAction act;
     act.latency = cfg.l1Latency;
@@ -504,7 +503,7 @@ PrivateHierarchy::actionOf(const StepRecord &rec) const
 }
 
 PrivateMissAction
-PrivateHierarchy::applyClassify(const StepRecord &rec)
+PrivateHierarchy::applyClassify(const PackedStep &rec)
 {
     // Mutations, counter bumps and LRU-clock (++tick) sequences below
     // replicate classifyImpl()'s per-kind paths exactly; touchAt/
@@ -596,8 +595,8 @@ PrivateHierarchy::applyClassify(const StepRecord &rec)
 }
 
 bool
-PrivateHierarchy::applyFill(const StepRecord &rec, Addr &evict_line,
-                            bool &evict_dirty)
+PrivateHierarchy::applyFill(const PackedStep &rec, Addr recorded_victim,
+                            Addr &evict_line, bool &evict_dirty)
 {
     const Addr line = rec.line;
     const bool is_instr = rec.kind == StepKind::InstrMiss;
@@ -608,7 +607,7 @@ PrivateHierarchy::applyFill(const StepRecord &rec, Addr &evict_line,
     // replay-validity contract it must equal the recorded victim.
     TagStore::Eviction ev = l2.occupantAt(line, rec.l2Way);
     RC_ASSERT(ev.valid == rec.hasVictim() &&
-                  (!ev.valid || ev.lineAddr == rec.victimLine),
+                  (!ev.valid || ev.lineAddr == recorded_victim),
               "fan-out fill victim diverged from the recorded victim");
     l2.installAt(line, rec.l2Way, st);
     if (writable) {
@@ -630,14 +629,14 @@ PrivateHierarchy::applyFill(const StepRecord &rec, Addr &evict_line,
 }
 
 void
-PrivateHierarchy::applyUpgraded(const StepRecord &rec)
+PrivateHierarchy::applyUpgraded(const PackedStep &rec)
 {
     const Addr line = rec.line;
     l2.touchAt(line, rec.l2Way);
     TagStore::Way &w2 = l2.wayAt(line, rec.l2Way);
     w2.state = PrivState::M;
     w2.dirty = true;
-    if ((rec.flags & StepRecord::kUpgL1Hit) != 0) {
+    if ((rec.flags & PackedStep::kUpgL1Hit) != 0) {
         l1d.touchAt(line, rec.l1Way);
         l1d.wayAt(line, rec.l1Way).state = PrivState::M;
     } else {

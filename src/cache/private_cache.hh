@@ -178,18 +178,21 @@ enum class StepKind : std::uint8_t
 };
 
 /**
- * One reference's private-hierarchy outcome, recorded once by the
- * fan-out front end and replayed into every back-end replica whose
- * affected sets have not diverged (sim/fanout.hh).  The record pins the
- * ways the front end chose so replay skips every tag scan and LRU
- * victim search; `victimLine` carries the L2 fill victim so back-ends
- * that cannot replay the step can still mark the sets it disturbed.
+ * One reference's private-hierarchy outcome in the 16-byte form the
+ * fan-out feed stores (sim/fanout.hh): recorded once by the front end
+ * and replayed into every back-end replica whose affected sets have not
+ * diverged.  The record pins the ways the front end chose so replay
+ * skips every tag scan and LRU victim search.  Think time is not kept
+ * here (the feed recovers it from its retirement prefix sum), and the
+ * issuing PC is an index into the feed's per-core PC table.  The L2
+ * fill victim lives in the feed's LLC-bound side table: only fills
+ * displace one, and a back end reads it only on such a step.
  */
-struct StepRecord
+struct PackedStep
 {
     static constexpr std::uint8_t kInstr = 1;       //!< instruction fetch
     static constexpr std::uint8_t kWrite = 2;       //!< MemOp::Write
-    static constexpr std::uint8_t kVictim = 4;      //!< victimLine valid
+    static constexpr std::uint8_t kVictim = 4;      //!< the fill displaced an L2 victim
     static constexpr std::uint8_t kUpgL1Hit = 8;    //!< upgrade hit in L1D
     /** The L2 fill victim was dirty.  Shares bit 3 with kUpgL1Hit:
      *  upgrades never displace an L2 victim and fills never hit-upgrade
@@ -197,10 +200,8 @@ struct StepRecord
     static constexpr std::uint8_t kVictimDirty = 8;
     static constexpr std::uint8_t kFillStateShift = 4; //!< L1 fill state bits
 
-    Addr line = 0;          //!< line-aligned reference address
-    Addr victimLine = 0;    //!< L2 victim displaced by the fill, if any
-    Addr pc = 0;            //!< issuing instruction carried from the MemRef
-    std::uint32_t think = 0; //!< think time carried from the MemRef
+    Addr line = 0;           //!< line-aligned reference address
+    std::uint32_t pcIdx = 0; //!< issuing PC: index into the feed's PC table
     StepKind kind = StepKind::L1IHit;
     std::uint8_t flags = 0;
     std::int8_t l1Way = -1; //!< L1 way touched or filled
@@ -220,6 +221,9 @@ struct StepRecord
         return static_cast<PrivState>(flags >> kFillStateShift);
     }
 };
+
+static_assert(sizeof(PackedStep) == 16,
+              "the fan-out feed keeps 16 bytes per reference");
 
 /**
  * One core's L1I + L1D + L2.  The CMP simulator calls classify() to learn
@@ -266,18 +270,19 @@ class PrivateHierarchy
      * counters are exactly those of classify().
      */
     PrivateMissAction classifyRecord(Addr line_addr, MemOp op, bool is_instr,
-                                     StepRecord &rec);
+                                     PackedStep &rec);
 
-    /** fill() that records the chosen ways and the L2 victim in @p rec. */
+    /** fill() that records the chosen ways and the victim flags in
+     *  @p rec; the victim line itself is @p evict_line. */
     bool fillRecord(Addr line_addr, bool is_instr, bool writable,
-                    Addr &evict_line, bool &evict_dirty, StepRecord &rec);
+                    Addr &evict_line, bool &evict_dirty, PackedStep &rec);
 
     /** upgraded() that records the L1D way (hit or fill) in @p rec. */
-    void upgradedRecord(Addr line_addr, StepRecord &rec);
+    void upgradedRecord(Addr line_addr, PackedStep &rec);
 
     /** The PrivateMissAction a recorded step implies (pure function of
      *  the kind and this hierarchy's latencies). */
-    PrivateMissAction actionOf(const StepRecord &rec) const;
+    PrivateMissAction actionOf(const PackedStep &rec) const;
 
     /**
      * Replay a recorded classify() against this hierarchy.  Valid only
@@ -285,14 +290,17 @@ class PrivateHierarchy
      * recording hierarchy's (the caller tracks divergence); mutations,
      * counters and LRU-clock bumps are exactly classify()'s.
      */
-    PrivateMissAction applyClassify(const StepRecord &rec);
+    PrivateMissAction applyClassify(const PackedStep &rec);
 
-    /** Replay a recorded fill(); same validity contract. */
-    bool applyFill(const StepRecord &rec, Addr &evict_line,
-                   bool &evict_dirty);
+    /** Replay a recorded fill(); same validity contract.
+     *  @param recorded_victim the victim the recording fill displaced
+     *         (ignored unless rec.hasVictim()); the replayed fill must
+     *         displace the same line. */
+    bool applyFill(const PackedStep &rec, Addr recorded_victim,
+                   Addr &evict_line, bool &evict_dirty);
 
     /** Replay a recorded upgraded(); same validity contract. */
-    void applyUpgraded(const StepRecord &rec);
+    void applyUpgraded(const PackedStep &rec);
 
     /**
      * Install a prefetched line into the L2 only (no L1 fill, shared
@@ -368,12 +376,12 @@ class PrivateHierarchy
   private:
     template <bool Rec>
     PrivateMissAction classifyImpl(Addr line_addr, MemOp op, bool is_instr,
-                                   StepRecord *rec);
+                                   PackedStep *rec);
     template <bool Rec>
     bool fillImpl(Addr line_addr, bool is_instr, bool writable,
-                  Addr &evict_line, bool &evict_dirty, StepRecord *rec);
+                  Addr &evict_line, bool &evict_dirty, PackedStep *rec);
     template <bool Rec>
-    void upgradedImpl(Addr line_addr, StepRecord *rec);
+    void upgradedImpl(Addr line_addr, PackedStep *rec);
 
     PrivateConfig cfg;
     CoreId coreId;

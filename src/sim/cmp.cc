@@ -155,9 +155,10 @@ Cmp::feedMarkLine(CoreId c, Addr line)
  *  fill/upgrade when the touched sets are still clean (the SLLC
  *  transaction may have recalled lines out of this very core, so the
  *  caller's @p replayed verdict is re-checked), otherwise complete for
- *  real and mark everything the record disturbed. */
+ *  real and mark everything the record disturbed.  @p victim is the
+ *  recorded L2 fill victim (meaningful only with rec.hasVictim()). */
 void
-Cmp::completeFanoutLlc(Core &core, const StepRecord &rec,
+Cmp::completeFanoutLlc(Core &core, const PackedStep &rec, Addr victim,
                        const PrivateMissAction &act, bool replayed,
                        Cycle returned)
 {
@@ -171,21 +172,22 @@ Cmp::completeFanoutLlc(Core &core, const StepRecord &rec,
             core.priv().upgraded(line);
             feedMarkLine(cid, line);
             if (rec.hasVictim())
-                feedMarkL1(cid, rec.victimLine);
+                feedMarkL1(cid, victim);
         }
     } else {
         Addr evict_line = 0;
         bool evict_dirty = false;
         bool evicted;
         if (replayed && feedSetsClean(cid, line, is_instr)) {
-            evicted = core.priv().applyFill(rec, evict_line, evict_dirty);
+            evicted = core.priv().applyFill(rec, victim, evict_line,
+                                            evict_dirty);
         } else {
             const bool writable = act.event == ProtoEvent::GETX;
             evicted = core.priv().fill(line, is_instr, writable,
                                        evict_line, evict_dirty);
             feedMarkLine(cid, line);
             if (rec.hasVictim())
-                feedMarkL1(cid, rec.victimLine);
+                feedMarkL1(cid, victim);
             if (evicted)
                 feedMarkL1(cid, evict_line);
         }
@@ -199,14 +201,19 @@ Cmp::stepCoreFanout(Core &core)
 {
     const CoreId cid = core.id();
     ReplayStream &rs = *replays[cid];
-    // Safe to hold by reference: the feed only generates (and may remap
-    // its ring) inside record(), and nothing below fetches records.
-    const StepRecord &rec = feed->record(cid, rs.cursor);
-    ++rs.cursor;
+    // Safe to hold by reference: a record stays put until its chunk is
+    // trimmed, and trims happen only between member slices.
+    std::uint32_t think = 0;
+    const PackedStep &rec = feed->step(cid, rs.cursor, think);
+    const std::uint64_t idx = rs.cursor++;
 
     const Addr line = rec.line;
     const bool is_instr = rec.isInstr();
-    const Cycle issue = core.readyAt() + rec.think;
+    const Cycle issue = core.readyAt() + think;
+    // Only a fill can carry a victim, and only an LLC-bound record is a
+    // fill, so the side-table read stays off the private-hit path.
+    const Addr victim =
+        rec.hasVictim() ? feed->victimOf(cid, idx, rs.llcCursor) : 0;
 
     // Replay the recorded private-hierarchy outcome when every set the
     // record touches is still bit-identical to the recording
@@ -222,7 +229,7 @@ Cmp::stepCoreFanout(Core &core)
         act = core.priv().classify(line, rec.op(), is_instr);
         feedMarkLine(cid, line);
         if (rec.hasVictim())
-            feedMarkL1(cid, rec.victimLine);
+            feedMarkL1(cid, victim);
     }
 
     Cycle done;
@@ -238,17 +245,19 @@ Cmp::stepCoreFanout(Core &core)
         const Cycle llc_issue = issue + act.latency;
         const Cycle bank_start = xbar.requestSlot(line, llc_issue);
         LlcRequest lreq{line, cid, act.event, bank_start};
-        lreq.pc = rec.pc;
+        // A diverged replica may miss where the virgin hierarchy hit,
+        // so any record can get here: every record carries its PC.
+        lreq.pc = feed->pcOf(cid, rec);
         const LlcResponse resp = llcPtr->request(lreq);
         if (resp.memFetched)
             xbar.noteMiss(line, bank_start, resp.doneAt);
         const Cycle returned = resp.doneAt + xbar.responseLatency();
-        completeFanoutLlc(core, rec, act, replayed, returned);
+        completeFanoutLlc(core, rec, victim, act, replayed, returned);
         curKeyValid = false;
         done = returned;
     }
 
-    core.retire(rec.think + (is_instr ? 0 : 1));
+    core.retire(think + (is_instr ? 0 : 1));
     core.setReadyAt(done);
 }
 
@@ -257,7 +266,8 @@ Cmp::refreshExpressEvent(std::uint32_t c, Cycle end)
 {
     ExpressCore &ex = express[c];
     const FanoutFeed::NextEvent e = feed->nextLlcBounded(
-        c, ex.cursor, ex.baseCumA, ex.baseReady, end);
+        c, ex.cursor, ex.baseCumA, ex.baseReady, end,
+        replays[c]->llcCursor);
     ex.hasEvent = e.hasEvent;
     if (e.hasEvent) {
         ex.eventIdx = e.idx;
@@ -276,8 +286,10 @@ Cmp::expressEvent(std::uint32_t c, Cycle end)
     ExpressCore &ex = express[c];
     Core &core = *cores[c];
     const std::uint64_t k = ex.eventIdx;
-    // By value: a recall below can force other cores' rings to grow.
-    const StepRecord rec = feed->record(c, k);
+    std::uint32_t think = 0;
+    const PackedStep &rec = feed->step(c, k, think);
+    const Addr victim =
+        rec.hasVictim() ? feed->victimOf(c, k, replays[c]->llcCursor) : 0;
     const PrivateMissAction act = core.priv().actionOf(rec);
 
     // Bulk-account the jumped-over private hits plus this record from
@@ -289,10 +301,10 @@ Cmp::expressEvent(std::uint32_t c, Cycle end)
     curKeyReady = ex.eventPreReady;
     curKeyIdx = c;
     curKeyValid = true;
-    const Cycle llc_issue = ex.eventPreReady + rec.think + act.latency;
+    const Cycle llc_issue = ex.eventPreReady + think + act.latency;
     const Cycle bank_start = xbar.requestSlot(rec.line, llc_issue);
     LlcRequest lreq{rec.line, c, act.event, bank_start};
-    lreq.pc = rec.pc;
+    lreq.pc = feed->pcOf(c, rec);
     const LlcResponse resp = llcPtr->request(lreq);
     if (resp.memFetched)
         xbar.noteMiss(rec.line, bank_start, resp.doneAt);
@@ -302,7 +314,7 @@ Cmp::expressEvent(std::uint32_t c, Cycle end)
         // The transaction recalled lines out of this very core:
         // materializeExpress() rebuilt exact private state through this
         // record's classify phase; finish on the ordinary path.
-        completeFanoutLlc(core, rec, act, true, returned);
+        completeFanoutLlc(core, rec, victim, act, true, returned);
     } else {
         // Still clean: the private-side completion is deferred to the
         // next materialization; only the SLLC-visible eviction happens
@@ -310,8 +322,7 @@ Cmp::expressEvent(std::uint32_t c, Cycle end)
         // replica would have evicted, since its sets match the feed's).
         curKeyCompletion = true;
         if (act.event != ProtoEvent::UPG && rec.hasVictim())
-            llcPtr->evictNotify(rec.victimLine, c, rec.victimDirty(),
-                                returned);
+            llcPtr->evictNotify(victim, c, rec.victimDirty(), returned);
         // A recall out of that eviction may have deactivated this core;
         // materializeExpress() then rebuilt the full record's state.
     }
@@ -344,8 +355,11 @@ Cmp::materializeExpress(CoreId c, bool self_step)
         // is.  expressEvent()'s epilogue finishes the bookkeeping.
         const std::uint64_t j = ex.eventIdx + (curKeyCompletion ? 1 : 0);
         feed->materializeHier(c, j, core.priv());
-        if (!curKeyCompletion)
-            (void)core.priv().applyClassify(feed->record(c, ex.eventIdx));
+        if (!curKeyCompletion) {
+            std::uint32_t think = 0;
+            (void)core.priv().applyClassify(
+                feed->step(c, ex.eventIdx, think));
+        }
         ex.exactCursor = j;
         ex.active = false;
         expressDemoted = true;

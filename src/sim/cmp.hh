@@ -75,7 +75,7 @@ class Cmp : public RecallHandler
     void runSlice(Cycle end, bool commit);
 
     /**
-     * Fan-out client mode: references come as StepRecords from @p feed
+     * Fan-out client mode: references come as PackedSteps from @p feed
      * (the cores' streams must be the feed's ReplayStreams, matched by
      * core id).  Recorded steps replay into the private hierarchies
      * while the sets they touch are bit-identical to the feed's
@@ -266,7 +266,7 @@ class Cmp : public RecallHandler
     // next using the feed's prefix sums, leaving its private state
     // stale in between and materializing it only when something must
     // observe it (a recall/downgrade, or the end of a run() call).
-    void completeFanoutLlc(Core &core, const StepRecord &rec,
+    void completeFanoutLlc(Core &core, const PackedStep &rec, Addr victim,
                            const PrivateMissAction &act, bool replayed,
                            Cycle returned);
     void refreshExpressEvent(std::uint32_t c, Cycle end);

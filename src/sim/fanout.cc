@@ -25,17 +25,30 @@ FanoutFeed::FanoutFeed(const PrivateConfig &priv, StreamFactory factory_,
         labels.reserve(blob->numCores());
         for (std::uint32_t c = 0; c < blob->numCores(); ++c) {
             const FeedBlob::CoreView &view = blob->core(c);
-            RC_ASSERT(view.count % kChunk == 0,
-                      "feed blob record count %llu is not chunk-aligned",
-                      static_cast<unsigned long long>(view.count));
+            RC_ASSERT(view.count % kChunk == 0 &&
+                          view.streamSnaps.size() == view.count / kChunk &&
+                          view.hierSnaps.size() == view.count / kChunk,
+                      "feed blob core %u is not whole chunks", c);
             PerCore &pc = per[c];
-            pc.flat = view.recs;
-            pc.flatA = view.cumA;
-            pc.flatI = view.cumI;
+            const std::uint64_t chunks = view.count / kChunk;
+            pc.chunks.resize(chunks);
+            for (std::uint64_t n = 0; n < chunks; ++n) {
+                Chunk &ch = pc.chunks[n];
+                const std::uint64_t first = n * kChunk;
+                ch.recs = view.recs + first;
+                ch.cumA = view.cumA + first;
+                ch.cumI = view.cumI + first;
+                ch.iBefore = first ? view.cumI[first - 1] : 0;
+                ch.streamImage = view.streamSnaps[n].image;
+                ch.hierImage = view.hierSnaps[n].image;
+            }
+            pc.liveFrom = chunks;
             pc.flatLlc = view.llc;
+            pc.flatVictim = view.llcVictim;
             pc.flatCount = view.count;
             pc.flatLlcCount = view.llcCount;
-            pc.base = view.count;
+            pc.llcBase = view.llcCount;
+            pc.pcs = view.pcs;
             pc.generated = view.count;
             pc.aTotal = view.count ? view.cumA[view.count - 1] : 0;
             pc.iTotal = view.count ? view.cumI[view.count - 1] : 0;
@@ -53,30 +66,43 @@ FanoutFeed::FanoutFeed(const PrivateConfig &priv, StreamFactory factory_,
         virgin.push_back(std::make_unique<PrivateHierarchy>(
             privCfg, c, "virgin" + std::to_string(c)));
         labels.emplace_back(streams[c]->label());
-        per[c].ring.resize(kInitialRing);
-        per[c].cumA.resize(kInitialRing);
-        per[c].cumI.resize(kInitialRing);
     }
 }
 
 FanoutFeed::~FanoutFeed() = default;
 
-void
-FanoutFeed::growRing(PerCore &pc)
+std::uint32_t
+FanoutFeed::internPc(PerCore &pc, Addr pc_value)
 {
-    std::vector<StepRecord> bigger(pc.ring.size() * 2);
-    std::vector<std::uint64_t> bigger_a(bigger.size());
-    std::vector<std::uint64_t> bigger_i(bigger.size());
-    const std::size_t old_mask = pc.ring.size() - 1;
-    const std::size_t new_mask = bigger.size() - 1;
-    for (std::uint64_t i = pc.base; i < pc.generated; ++i) {
-        bigger[i & new_mask] = pc.ring[i & old_mask];
-        bigger_a[i & new_mask] = pc.cumA[i & old_mask];
-        bigger_i[i & new_mask] = pc.cumI[i & old_mask];
+    // Linear probing over a power-of-two slot array kept at most half
+    // full; a slot holds a pcTab position + 1.
+    if (2 * (pc.pcTab.size() + 1) > pc.pcSlots.size()) {
+        std::vector<std::uint32_t> slots(
+            std::max<std::size_t>(64, 2 * pc.pcSlots.size()), 0);
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t i = 0; i < pc.pcTab.size(); ++i) {
+            std::size_t h = (pc.pcTab[i] * 0x9e3779b97f4a7c15ull) >> 40;
+            while (slots[h & mask] != 0)
+                ++h;
+            slots[h & mask] = static_cast<std::uint32_t>(i + 1);
+        }
+        pc.pcSlots.swap(slots);
     }
-    pc.ring.swap(bigger);
-    pc.cumA.swap(bigger_a);
-    pc.cumI.swap(bigger_i);
+    const std::size_t mask = pc.pcSlots.size() - 1;
+    for (std::size_t h = (pc_value * 0x9e3779b97f4a7c15ull) >> 40;; ++h) {
+        const std::uint32_t slot = pc.pcSlots[h & mask];
+        if (slot == 0) {
+            RC_ASSERT(pc.pcTab.size() < UINT32_MAX,
+                      "fan-out feed PC table overflow");
+            pc.pcTab.push_back(pc_value);
+            pc.pcs = pc.pcTab.data();
+            pc.pcSlots[h & mask] =
+                static_cast<std::uint32_t>(pc.pcTab.size());
+            return static_cast<std::uint32_t>(pc.pcTab.size() - 1);
+        }
+        if (pc.pcTab[slot - 1] == pc_value)
+            return slot - 1;
+    }
 }
 
 void
@@ -84,10 +110,10 @@ FanoutFeed::goLive(CoreId core)
 {
     // A member outran the blob.  Rebuild exactly the live state a cold
     // run would have at the blob's horizon: fresh streams restored from
-    // the newest stream snapshot and advanced, and the virgin hierarchy
-    // re-materialized by replaying the flat records past the newest
-    // hierarchy snapshot.  Everything generated from here on is
-    // bit-identical to a cold run's continuation.
+    // the newest stream snapshot and advanced, the virgin hierarchy
+    // re-materialized by replaying the blob's last chunk, and the PC
+    // table copied out of the mapping.  Everything generated from here
+    // on is bit-identical to a cold run's continuation.
     PerCore &pc = per[core];
     if (streams.empty()) {
         streams = factory();
@@ -104,8 +130,6 @@ FanoutFeed::goLive(CoreId core)
                   "feed blob carries no stream snapshots for core %u",
                   core);
         const FeedBlob::Snap &anchor = view.streamSnaps.back();
-        RC_ASSERT(anchor.idx <= pc.flatCount,
-                  "feed blob stream snapshot beyond its records");
         Deserializer d(anchor.image);
         d.beginSection("stream");
         streams[core]->restore(d);
@@ -116,11 +140,11 @@ FanoutFeed::goLive(CoreId core)
     virgin[core] = std::make_unique<PrivateHierarchy>(
         privCfg, core, "virgin" + std::to_string(core));
     materializeHier(core, pc.flatCount, *virgin[core]);
-    if (pc.ring.empty()) {
-        pc.ring.resize(kInitialRing);
-        pc.cumA.resize(kInitialRing);
-        pc.cumI.resize(kInitialRing);
-    }
+    // The blob's table holds distinct PCs, so interning it in order
+    // rebuilds the same indices.
+    for (std::uint64_t i = 0; i < view.pcCount; ++i)
+        (void)internPc(pc, view.pcs[i]);
+    pc.pcs = pc.pcTab.data();
 }
 
 void
@@ -132,9 +156,7 @@ FanoutFeed::extend(CoreId core, std::uint64_t idx)
     RefStream &stream = *streams[core];
     PrivateHierarchy &hier = *virgin[core];
     while (pc.generated <= idx) {
-        // The live window [base, generated + kChunk) must fit the ring.
-        while (pc.generated + kChunk - pc.base > pc.ring.size())
-            growRing(pc);
+        auto own = std::make_unique_for_overwrite<ChunkStore>();
         // Chunk boundary: image the stream state before generating the
         // chunk, so any record index inside it can be reconstructed,
         // and the virgin hierarchy so express-lane members can
@@ -144,49 +166,65 @@ FanoutFeed::extend(CoreId core, std::uint64_t idx)
             ser.beginSection("stream");
             stream.save(ser);
             ser.endSection();
-            pc.snaps.push_back(StreamSnap{pc.generated, ser.image()});
+            own->streamImage = ser.image();
         }
         {
             Serializer ser;
             ser.beginSection("hier");
             hier.save(ser);
             ser.endSection();
-            pc.hsnaps.push_back(HierSnap{pc.generated, ser.image()});
+            own->hierImage = ser.image();
         }
-        const std::size_t mask = pc.ring.size() - 1;
+        Chunk ch;
+        ch.iBefore = pc.iTotal;
         for (std::uint64_t i = 0; i < kChunk; ++i) {
-            StepRecord &rec = pc.ring[pc.generated & mask];
+            PackedStep &rec = own->recs[i];
             const MemRef r = stream.next();
-            rec = StepRecord{};
+            rec = PackedStep{};
             rec.line = lineAlign(r.addr);
-            rec.pc = r.pc;
-            rec.think = r.think;
+            rec.pcIdx = internPc(pc, r.pc);
             if (r.isInstr)
-                rec.flags |= StepRecord::kInstr;
+                rec.flags |= PackedStep::kInstr;
             if (r.op == MemOp::Write)
-                rec.flags |= StepRecord::kWrite;
+                rec.flags |= PackedStep::kWrite;
             const PrivateMissAction act =
                 hier.classifyRecord(rec.line, r.op, r.isInstr, rec);
             if (act.needLlc) {
                 // The virgin hierarchy completes misses immediately:
                 // with no SLLC behind it, fills and upgrades always
                 // succeed and nothing ever recalls its lines.
+                Addr evict_line = 0;
                 if (act.event == ProtoEvent::UPG) {
                     hier.upgradedRecord(rec.line, rec);
                 } else {
-                    Addr evict_line = 0;
                     bool evict_dirty = false;
-                    hier.fillRecord(rec.line, r.isInstr,
-                                    act.event == ProtoEvent::GETX,
-                                    evict_line, evict_dirty, rec);
+                    if (!hier.fillRecord(rec.line, r.isInstr,
+                                         act.event == ProtoEvent::GETX,
+                                         evict_line, evict_dirty, rec))
+                        evict_line = 0;
                 }
-                pc.llcIdx.push_back(pc.generated);
+                pc.llc.push_back(LlcEntry{pc.generated, evict_line});
             }
-            pc.aTotal += rec.think + act.latency;
-            pc.iTotal += rec.think + (r.isInstr ? 0 : 1);
-            pc.cumA[pc.generated & mask] = pc.aTotal;
-            pc.cumI[pc.generated & mask] = pc.iTotal;
+            pc.aTotal += r.think + act.latency;
+            pc.iTotal += r.think + (r.isInstr ? 0 : 1);
+            own->cumA[i] = pc.aTotal;
+            own->cumI[i] = pc.iTotal;
             ++pc.generated;
+        }
+        ch.recs = own->recs;
+        ch.cumA = own->cumA;
+        ch.cumI = own->cumI;
+        ch.streamImage = own->streamImage;
+        ch.hierImage = own->hierImage;
+        ch.own = std::move(own);
+        pc.chunks.push_back(std::move(ch));
+
+        const std::uint64_t live =
+            (pc.chunks.size() - pc.liveFrom) * kChunk;
+        if (live > pc.peak.records) {
+            pc.peak.records = live;
+            pc.peak.bytes = live * kBytesPerRecord +
+                            pc.llc.size() * sizeof(LlcEntry);
         }
     }
 }
@@ -194,57 +232,97 @@ FanoutFeed::extend(CoreId core, std::uint64_t idx)
 void
 FanoutFeed::trim(CoreId core, std::uint64_t min_idx)
 {
-    // Capture mode keeps the whole window alive: FeedCache::store()
-    // serializes it after the run.  Blob-backed records are never
-    // trimmed either — they are a read-only mapping, and base already
-    // starts at the blob's horizon.
+    // Capture mode keeps every chunk: FeedCache::store() serializes
+    // them after the run.  Blob-backed chunks are never freed either —
+    // they are a read-only mapping, and liveFrom starts past them.
     if (capture)
         return;
     PerCore &pc = per[core];
-    // Trim to the chunk boundary below min_idx, not min_idx itself:
-    // materializeHier() replays records from the newest hierarchy
-    // snapshot at or before a member's cursor, so the records between
-    // that boundary and the cursor must stay live.
-    const std::uint64_t floor_idx = min_idx & ~(kChunk - 1);
-    if (floor_idx > pc.base)
-        pc.base = std::min(floor_idx, pc.generated);
-    while (!pc.llcIdx.empty() && pc.llcIdx.front() < pc.base)
-        pc.llcIdx.pop_front();
-    // Keep the newest snapshot at or before the floor: it anchors
-    // stream/hierarchy reconstruction for every index a member can
-    // still reach.
-    while (pc.snaps.size() >= 2 && pc.snaps[1].idx <= floor_idx)
-        pc.snaps.pop_front();
-    while (pc.hsnaps.size() >= 2 && pc.hsnaps[1].idx <= floor_idx)
-        pc.hsnaps.pop_front();
+    if (pc.chunks.empty())
+        return;
+    // Free whole chunks below the one holding min_idx: materializeHier()
+    // replays records from the snapshot of the chunk holding a member's
+    // cursor, so that chunk must stay.  The newest chunk always stays,
+    // as it anchors the records generation will append.
+    const std::uint64_t floor_chunk =
+        std::min<std::uint64_t>(min_idx / kChunk, pc.chunks.size() - 1);
+    for (; pc.liveFrom < floor_chunk; ++pc.liveFrom)
+        pc.chunks[pc.liveFrom] = Chunk{};
+    const std::uint64_t floor_idx = floor_chunk * kChunk;
+    while (!pc.llc.empty() && pc.llc.front().idx < floor_idx) {
+        pc.llc.pop_front();
+        ++pc.llcBase;
+    }
+}
+
+StepRecord
+FanoutFeed::record(CoreId core, std::uint64_t idx)
+{
+    StepRecord out;
+    static_cast<PackedStep &>(out) = step(core, idx, out.think);
+    const PerCore &pc = per[core];
+    out.pc = pc.pcs[out.pcIdx];
+    if (out.hasVictim()) {
+        const std::uint64_t n = llcLowerBound(pc, idx);
+        RC_ASSERT(n < llcTotal(pc) && llcIdxAt(pc, n) == idx,
+                  "victim record %llu missing from the LLC-bound index",
+                  static_cast<unsigned long long>(idx));
+        out.victimLine = llcVictimAt(pc, n);
+    }
+    return out;
+}
+
+std::uint64_t
+FanoutFeed::llcOrdinal(const PerCore &pc, std::uint64_t idx,
+                       std::uint64_t &n)
+{
+    // Ordinals below llcBase past the blob's were trimmed, and every
+    // one of them precedes any index a member can still ask about.
+    if (n >= pc.flatLlcCount && n < pc.llcBase)
+        n = pc.llcBase;
+    const std::uint64_t total = llcTotal(pc);
+    while (n < total && llcIdxAt(pc, n) < idx)
+        ++n;
+    return n;
+}
+
+std::uint64_t
+FanoutFeed::llcLowerBound(const PerCore &pc, std::uint64_t idx)
+{
+    if (pc.flatLlcCount != 0 && idx <= pc.flatLlc[pc.flatLlcCount - 1]) {
+        return static_cast<std::uint64_t>(
+            std::lower_bound(pc.flatLlc, pc.flatLlc + pc.flatLlcCount,
+                             idx) -
+            pc.flatLlc);
+    }
+    const auto it = std::lower_bound(
+        pc.llc.begin(), pc.llc.end(), idx,
+        [](const LlcEntry &e, std::uint64_t v) { return e.idx < v; });
+    return pc.llcBase + static_cast<std::uint64_t>(it - pc.llc.begin());
+}
+
+Addr
+FanoutFeed::victimOf(CoreId core, std::uint64_t idx,
+                     std::uint64_t &llc_cursor)
+{
+    const PerCore &pc = per[core];
+    const std::uint64_t n = llcOrdinal(pc, idx, llc_cursor);
+    RC_ASSERT(n < llcTotal(pc) && llcIdxAt(pc, n) == idx,
+              "victim record %llu missing from the LLC-bound index",
+              static_cast<unsigned long long>(idx));
+    return llcVictimAt(pc, n);
 }
 
 FanoutFeed::NextEvent
 FanoutFeed::nextLlcBounded(CoreId core, std::uint64_t cursor,
                            std::uint64_t base_cum_a, Cycle base_ready,
-                           Cycle end)
+                           Cycle end, std::uint64_t &llc_cursor)
 {
     PerCore &pc = per[core];
-    // Replay fast path: binary-search the blob's flat LLC-bound index.
-    // Falls through to the live window only once the flat index is
-    // exhausted (the live llcIdx holds indices >= flatCount only).
-    if (cursor < pc.flatCount && pc.flatLlcCount != 0) {
-        const std::uint64_t *it = std::lower_bound(
-            pc.flatLlc, pc.flatLlc + pc.flatLlcCount, cursor);
-        if (it != pc.flatLlc + pc.flatLlcCount) {
-            const std::uint64_t k = *it;
-            const Cycle pre =
-                preReadyOf(pc, cursor, base_cum_a, base_ready, k);
-            if (pre >= end)
-                return NextEvent{};
-            return NextEvent{true, k, pre};
-        }
-    }
     for (;;) {
-        const auto it = std::lower_bound(pc.llcIdx.begin(),
-                                         pc.llcIdx.end(), cursor);
-        if (it != pc.llcIdx.end()) {
-            const std::uint64_t k = *it;
+        const std::uint64_t n = llcOrdinal(pc, cursor, llc_cursor);
+        if (n < llcTotal(pc)) {
+            const std::uint64_t k = llcIdxAt(pc, n);
             const Cycle pre =
                 preReadyOf(pc, cursor, base_cum_a, base_ready, k);
             if (pre >= end)
@@ -265,8 +343,7 @@ FanoutFeed::nextLlcBounded(CoreId core, std::uint64_t cursor,
 std::uint64_t
 FanoutFeed::firstAtOrPast(const PerCore &pc, std::uint64_t cursor,
                           std::uint64_t base_cum_a, Cycle base_ready,
-                          std::uint64_t limit, Cycle bound,
-                          bool strict) const
+                          std::uint64_t limit, Cycle bound, bool strict)
 {
     std::uint64_t lo = cursor;
     std::uint64_t hi = limit;
@@ -313,60 +390,29 @@ FanoutFeed::cursorAtKey(CoreId core, std::uint64_t cursor,
                          pc.generated, key_ready, strict);
 }
 
-namespace
+std::uint64_t
+FanoutFeed::anchorChunk(const PerCore &pc, std::uint64_t idx)
 {
-
-/** Newest snapshot at or before @p idx: the live deque wins when it
- *  has one (its entries all follow the blob's), else the blob's
- *  vector is binary-searched.  Returns {snapIdx, image}; the image is
- *  empty when neither side has an anchor. */
-template <typename LiveSnap>
-std::pair<std::uint64_t, std::span<const std::uint8_t>>
-newestSnapAtOrBefore(const std::deque<LiveSnap> &live,
-                     const std::vector<FeedBlob::Snap> *flat,
-                     std::uint64_t idx)
-{
-    const LiveSnap *anchor = nullptr;
-    for (const LiveSnap &snap : live) {
-        if (snap.idx > idx)
-            break;
-        anchor = &snap;
-    }
-    if (anchor)
-        return {anchor->idx, anchor->image};
-    if (flat && !flat->empty()) {
-        // First blob snap past idx, then step back one.
-        auto it = std::upper_bound(
-            flat->begin(), flat->end(), idx,
-            [](std::uint64_t v, const FeedBlob::Snap &s) {
-                return v < s.idx;
-            });
-        if (it != flat->begin()) {
-            --it;
-            return {it->idx, it->image};
-        }
-    }
-    return {0, {}};
+    RC_ASSERT(idx <= pc.generated && !pc.chunks.empty(),
+              "record %llu has no snapshot chunk (generated %llu)",
+              static_cast<unsigned long long>(idx),
+              static_cast<unsigned long long>(pc.generated));
+    const std::uint64_t n =
+        std::min<std::uint64_t>(idx / kChunk, pc.chunks.size() - 1);
+    RC_ASSERT(pc.chunks[n].recs, "snapshot chunk of record %llu was trimmed",
+              static_cast<unsigned long long>(idx));
+    return n;
 }
-
-} // namespace
 
 void
 FanoutFeed::materializeHier(CoreId core, std::uint64_t idx,
                             PrivateHierarchy &hier) const
 {
     const PerCore &pc = per[core];
-    RC_ASSERT(idx <= pc.generated,
-              "materializeHier(%llu) beyond generated %llu",
-              static_cast<unsigned long long>(idx),
-              static_cast<unsigned long long>(pc.generated));
-    const auto [anchorIdx, image] = newestSnapAtOrBefore(
-        pc.hsnaps, blob ? &blob->core(core).hierSnaps : nullptr, idx);
-    RC_ASSERT(!image.empty(),
-              "no hierarchy snapshot at or before record %llu of core %u",
-              static_cast<unsigned long long>(idx), core);
+    const std::uint64_t n_anchor = anchorChunk(pc, idx);
+    const Chunk &anchor = pc.chunks[n_anchor];
     {
-        Deserializer d(image);
+        Deserializer d(anchor.hierImage);
         d.beginSection("hier");
         hier.restore(d);
         d.endSection();
@@ -374,8 +420,10 @@ FanoutFeed::materializeHier(CoreId core, std::uint64_t idx,
     // Replay the intervening records: a never-diverged member replica
     // is bit-identical to the virgin hierarchy at every index, so the
     // apply path reproduces its exact state (and counters) at idx.
-    for (std::uint64_t i = anchorIdx; i < idx; ++i) {
-        const StepRecord &rec = recAt(pc, i);
+    const std::uint64_t first = n_anchor * kChunk;
+    std::uint64_t n = llcLowerBound(pc, first);
+    for (std::uint64_t i = first; i < idx; ++i) {
+        const PackedStep &rec = anchor.recs[i - first];
         const PrivateMissAction act = hier.applyClassify(rec);
         if (act.needLlc) {
             if (act.event == ProtoEvent::UPG) {
@@ -383,8 +431,10 @@ FanoutFeed::materializeHier(CoreId core, std::uint64_t idx,
             } else {
                 Addr evict_line = 0;
                 bool evict_dirty = false;
-                (void)hier.applyFill(rec, evict_line, evict_dirty);
+                (void)hier.applyFill(rec, llcVictimAt(pc, n), evict_line,
+                                     evict_dirty);
             }
+            ++n;
         }
     }
 }
@@ -394,22 +444,20 @@ FanoutFeed::saveStreamAt(CoreId core, std::uint64_t idx,
                          Serializer &s) const
 {
     const PerCore &pc = per[core];
-    const auto [anchorIdx, image] = newestSnapAtOrBefore(
-        pc.snaps, blob ? &blob->core(core).streamSnaps : nullptr, idx);
-    RC_ASSERT(!image.empty(),
-              "no stream snapshot at or before record %llu of core %u",
-              static_cast<unsigned long long>(idx), core);
+    const std::uint64_t n_anchor = anchorChunk(pc, idx);
+    const Chunk &anchor = pc.chunks[n_anchor];
+    const std::uint64_t first = n_anchor * kChunk;
 
     std::vector<std::unique_ptr<RefStream>> fresh = factory();
     RC_ASSERT(core < fresh.size(), "stream factory shrank");
     RefStream &stream = *fresh[core];
     {
-        Deserializer d(image);
+        Deserializer d(anchor.streamImage);
         d.beginSection("stream");
         stream.restore(d);
         d.endSection();
     }
-    for (std::uint64_t i = anchorIdx; i < idx; ++i)
+    for (std::uint64_t i = first; i < idx; ++i)
         (void)stream.next();
     stream.save(s);
 }
@@ -502,23 +550,41 @@ FanoutCmp::run(Cycle cycles)
     // already materialized, never trimmed — so each member can run its
     // whole horizon in one slice, keeping its SLLC and private
     // metadata hot instead of round-robining every 256K cycles.
-    // Results are quantum-invariant either way (members only commit at
-    // the end of run()).
+    // Results are quantum- and order-invariant either way (members
+    // share only the feed and commit only at the end of run()).
     const Cycle quantum =
         feed->warm() && !feed->capturing() ? cycles : kQuantum;
+    std::vector<std::pair<std::uint64_t, std::size_t>> order(
+        members.size());
     Cycle target = start;
     while (target < end) {
         target = std::min(target + quantum, end);
-        for (auto &m : members)
-            m->runSlice(target, target == end);
-
-        // Everything every member has consumed can be dropped.
-        for (CoreId c = 0; c < feed->numCores(); ++c) {
-            std::uint64_t min_idx = cursors.front()[c]->cursor;
-            for (const auto &views : cursors)
-                min_idx = std::min(min_idx, views[c]->cursor);
-            feed->trim(c, min_idx);
+        // Slowest first: the members that have consumed the fewest
+        // records run first, and the trim after each slice frees the
+        // chunks they leave behind before the leaders generate more.
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            std::uint64_t consumed = 0;
+            for (const ReplayStream *view : cursors[m])
+                consumed += view->cursor;
+            order[m] = {consumed, m};
         }
+        std::sort(order.begin(), order.end());
+        for (const auto &[consumed, m] : order) {
+            members[m]->runSlice(target, target == end);
+            trimFeed();
+        }
+    }
+}
+
+void
+FanoutCmp::trimFeed()
+{
+    // Everything every member has consumed can be dropped.
+    for (CoreId c = 0; c < feed->numCores(); ++c) {
+        std::uint64_t min_idx = cursors.front()[c]->cursor;
+        for (const auto &views : cursors)
+            min_idx = std::min(min_idx, views[c]->cursor);
+        feed->trim(c, min_idx);
     }
 }
 

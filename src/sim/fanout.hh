@@ -7,7 +7,7 @@
  * The front end (FanoutFeed) owns one set of reference streams and one
  * "virgin" private hierarchy per core — virgin because it completes
  * every L2 miss immediately and is never recalled, having no SLLC
- * behind it.  Each reference becomes a StepRecord pinning the outcome
+ * behind it.  Each reference becomes a PackedStep pinning the outcome
  * kind and the exact ways touched.  Every member Cmp keeps its own
  * private-hierarchy replicas, SLLC, DRAM, crossbar and stats; a member
  * replays records while the sets a record touches are bit-identical to
@@ -30,10 +30,10 @@
  * steps is preserved exactly, express members stay bit-identical to
  * independent runs.
  *
- * FanoutCmp drives its members in bounded cycle quanta so the shared
- * record window stays small, and commits each member's horizon only at
- * the end of a run() call so mid-run hooks observe exactly what an
- * unsliced run() would show.
+ * FanoutCmp drives its members in cycle quanta, slowest member first,
+ * and trims the shared record window after every member's slice; it
+ * commits each member's horizon only at the end of a run() call so
+ * mid-run hooks observe exactly what an unsliced run() would show.
  */
 
 #ifndef RC_SIM_FANOUT_HH
@@ -43,6 +43,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,33 +63,65 @@ using StreamFactory =
     std::function<std::vector<std::unique_ptr<RefStream>>()>;
 
 /**
+ * One reference's outcome with everything the feed keeps beside the
+ * packed record decoded back in: think time, issuing PC and the L2
+ * fill victim.  FanoutFeed::record() builds one on demand for
+ * diagnostics; fan-out members read the packed form through step().
+ */
+struct StepRecord : PackedStep
+{
+    Addr victimLine = 0;     //!< L2 victim displaced by the fill, if any
+    Addr pc = 0;             //!< issuing instruction carried from the MemRef
+    std::uint32_t think = 0; //!< think time carried from the MemRef
+};
+
+/**
  * The shared fan-out front end: streams + virgin private hierarchies,
- * producing per-core StepRecord sequences on demand.
+ * producing per-core PackedStep sequences on demand.
  *
- * Records are generated lazily in chunks as members consume them and
- * trimmed once every member is past them, so the live window is bounded
- * by the members' lockstep quantum.  At each chunk boundary the feed
- * snapshots the underlying stream state; ReplayStream::save() rebuilds
- * a bit-exact stream image for any record index from the nearest
- * snapshot, keeping member checkpoints byte-identical to independent
- * runs'.
+ * Records are generated lazily in chunks of kChunk as members consume
+ * them, and a chunk is freed once every member is past it.  The live
+ * window is therefore set by the members' record spread: when run()
+ * returns every member stands at the same cycle, and the member with
+ * the lowest IPC on a core still needs every record the fastest one has
+ * consumed.  Each live record costs 32 bytes: the 16-byte PackedStep
+ * and two 8-byte inclusive prefix sums.  Think time comes back out of
+ * the retirement prefix sum.  The issuing PC is an index into a
+ * per-core PC table: a member whose private sets diverged can miss on
+ * any record, not only on the LLC-bound ones, and its SLLC request
+ * carries that record's PC.  The L2 fill victim sits in a side table
+ * beside the LLC-bound record index, since only a reference that
+ * reaches the SLLC (1.2% of them on perfbench's sweep-fanout) can carry
+ * one.
+ *
+ * Every chunk starts with a snapshot of the underlying stream state and
+ * of the virgin hierarchy; ReplayStream::save() rebuilds a bit-exact
+ * stream image for any record index from its chunk's snapshot, keeping
+ * member checkpoints byte-identical to independent runs'.
  */
 class FanoutFeed
 {
   public:
+    /** Records per chunk: the unit of generation, snapshots and trim. */
+    static constexpr std::uint64_t kChunk = 4096;
+
+    /** Bytes a live record costs: the packed record plus its two
+     *  prefix sums. */
+    static constexpr std::uint64_t kBytesPerRecord =
+        sizeof(PackedStep) + 2 * sizeof(std::uint64_t);
+
     /**
      * @param priv private-hierarchy sizing shared by every member.
      * @param factory stream builder; invoked once immediately (unless
      *        replaying from @p blob), and again per checkpointed stream
      *        image.
      * @param blob a validated feed-cache blob to replay from: records,
-     *        prefix sums, the LLC-bound index and all chunk-boundary
-     *        snapshots come zero-copy out of the mapping, and no
+     *        prefix sums, the LLC-bound side table, the PC table and all
+     *        chunk snapshots come zero-copy out of the mapping, and no
      *        stream or virgin-hierarchy simulation happens unless a
      *        member consumes past the blob's horizon (goLive()).
-     * @param capture retain every record, prefix sum and snapshot for
-     *        a later FeedCache::store() instead of trimming; mutually
-     *        exclusive with @p blob.
+     * @param capture retain every chunk for a later FeedCache::store()
+     *        instead of trimming; mutually exclusive with @p blob.
      */
     FanoutFeed(const PrivateConfig &priv, StreamFactory factory,
                std::shared_ptr<const FeedBlob> blob = nullptr,
@@ -96,16 +129,43 @@ class FanoutFeed
 
     ~FanoutFeed();
 
-    /** Record @p idx of @p core, generating on demand. */
-    const StepRecord &record(CoreId core, std::uint64_t idx)
+    /**
+     * Packed record @p idx of @p core, generating on demand; @p think
+     * receives its think time.  The reference stays valid until the
+     * record's chunk is trimmed.
+     */
+    const PackedStep &step(CoreId core, std::uint64_t idx,
+                           std::uint32_t &think)
     {
         PerCore &pc = per[core];
-        if (idx < pc.flatCount)
-            return pc.flat[idx];
         if (idx >= pc.generated)
             extend(core, idx);
-        return pc.ring[idx & (pc.ring.size() - 1)];
+        const Chunk &ch = pc.chunks[idx / kChunk];
+        const std::size_t off = idx % kChunk;
+        const PackedStep &rec = ch.recs[off];
+        const std::uint64_t before = off ? ch.cumI[off - 1] : ch.iBefore;
+        think = static_cast<std::uint32_t>(ch.cumI[off] - before -
+                                           (rec.isInstr() ? 0 : 1));
+        return rec;
     }
+
+    /** Record @p idx of @p core with think time, PC and victim decoded
+     *  (generating on demand); for diagnostics, not the step path. */
+    StepRecord record(CoreId core, std::uint64_t idx);
+
+    /** Issuing PC of a record of @p core. */
+    Addr pcOf(CoreId core, const PackedStep &rec) const
+    {
+        return per[core].pcs[rec.pcIdx];
+    }
+
+    /**
+     * L2 fill victim of record @p idx of @p core, which must carry
+     * PackedStep::kVictim.  @p llc_cursor is the caller's position in
+     * the LLC-bound side table (ReplayStream::llcCursor); it only moves
+     * forward, so the lookup is O(1) amortized over a run.
+     */
+    Addr victimOf(CoreId core, std::uint64_t idx, std::uint64_t &llc_cursor);
 
     /**
      * Express-lane prefix sums (see Cmp's express mode): every record
@@ -120,27 +180,13 @@ class FanoutFeed
      */
     std::uint64_t cumAIncl(CoreId core, std::uint64_t idx) const
     {
-        const PerCore &pc = per[core];
-        if (idx < pc.flatCount)
-            return pc.flatA[idx];
-        RC_ASSERT(idx >= pc.base && idx < pc.generated,
-                  "cumAIncl(%llu) outside live window [%llu, %llu)",
-                  static_cast<unsigned long long>(idx),
-                  static_cast<unsigned long long>(pc.base),
-                  static_cast<unsigned long long>(pc.generated));
-        return pc.cumA[idx & (pc.ring.size() - 1)];
+        return liveChunk(per[core], idx).cumA[idx % kChunk];
     }
 
     /** Running retirement total through record @p idx (see cumAIncl). */
     std::uint64_t cumIIncl(CoreId core, std::uint64_t idx) const
     {
-        const PerCore &pc = per[core];
-        if (idx < pc.flatCount)
-            return pc.flatI[idx];
-        RC_ASSERT(idx >= pc.base && idx < pc.generated,
-                  "cumIIncl(%llu) outside live window",
-                  static_cast<unsigned long long>(idx));
-        return pc.cumI[idx & (pc.ring.size() - 1)];
+        return liveChunk(per[core], idx).cumI[idx % kChunk];
     }
 
     /** Next LLC-bound record of @p core at or after @p cursor, if its
@@ -157,11 +203,11 @@ class FanoutFeed
      * is (@p cursor, @p base_ready) with cumulative cost @p base_cum_a
      * through record cursor-1 (0 when cursor is 0).  Generates records
      * as needed, but never past the point where the core's ready time
-     * provably reaches @p end.
+     * provably reaches @p end.  @p llc_cursor is as for victimOf().
      */
     NextEvent nextLlcBounded(CoreId core, std::uint64_t cursor,
                              std::uint64_t base_cum_a, Cycle base_ready,
-                             Cycle end);
+                             Cycle end, std::uint64_t &llc_cursor);
 
     /** First record index >= @p cursor whose pre-step ready time
      *  reaches @p end (the canonical cursor at a quantum boundary). */
@@ -183,7 +229,7 @@ class FanoutFeed
 
     /**
      * Rebuild exact private-hierarchy state as of record @p idx into
-     * @p hier: restore the newest virgin-hierarchy image at or before
+     * @p hier: restore the virgin-hierarchy image of the chunk holding
      * @p idx and replay the intervening records.  Only valid for a
      * member core that has never diverged from the feed (its state is
      * bit-identical to the virgin hierarchy's at every record index).
@@ -191,8 +237,8 @@ class FanoutFeed
     void materializeHier(CoreId core, std::uint64_t idx,
                          PrivateHierarchy &hier) const;
 
-    /** Drop records below index @p min_idx (every member is past them),
-     *  along with stream snapshots no checkpoint can need any more. */
+    /** Free the chunks wholly below record @p min_idx (every member is
+     *  past them), with their snapshots and LLC-bound side entries. */
     void trim(CoreId core, std::uint64_t min_idx);
 
     /** Label of @p core's underlying stream. */
@@ -210,9 +256,9 @@ class FanoutFeed
     /**
      * Serialize @p core's underlying stream exactly as it stood before
      * record @p idx was generated: rebuild a fresh stream, restore the
-     * nearest chunk-boundary snapshot at or before @p idx and advance
-     * the difference.  Called by ReplayStream::save() so member
-     * checkpoints carry true stream state.
+     * snapshot of the chunk holding @p idx and advance the difference.
+     * Called by ReplayStream::save() so member checkpoints carry true
+     * stream state.
      */
     void saveStreamAt(CoreId core, std::uint64_t idx, Serializer &s) const;
 
@@ -221,6 +267,21 @@ class FanoutFeed
     std::uint64_t generatedCount(CoreId core) const
     {
         return per[core].generated;
+    }
+
+    /** Peak of the live window of one core: records held in generated
+     *  chunks, and the bytes they and the LLC-bound side table take
+     *  (blob-backed records and snapshot images not included). */
+    struct WindowPeak
+    {
+        std::uint64_t records = 0;
+        std::uint64_t bytes = 0;
+    };
+
+    /** Largest live window @p core has reached (tests/diagnostics). */
+    const WindowPeak &windowPeak(CoreId core) const
+    {
+        return per[core].peak;
     }
 
     /** Replaying from a feed-cache blob? */
@@ -237,50 +298,70 @@ class FanoutFeed
 
   private:
     friend class FeedCache; // store() serializes the captured window
-    /** Stream-state image taken at a chunk boundary. */
-    struct StreamSnap
+
+    /** Storage of one generated chunk. */
+    struct ChunkStore
     {
-        std::uint64_t idx = 0;           //!< first record it precedes
-        std::vector<std::uint8_t> image; //!< Serializer::image() bytes
+        PackedStep recs[kChunk];
+        std::uint64_t cumA[kChunk]; //!< inclusive private-side cycles
+        std::uint64_t cumI[kChunk]; //!< inclusive retirement counts
+        std::vector<std::uint8_t> streamImage; //!< before recs[0]
+        std::vector<std::uint8_t> hierImage;   //!< before recs[0]
     };
 
-    /** Virgin-hierarchy image taken at a chunk boundary (anchors
-     *  express-lane state materialization, see materializeHier()). */
-    struct HierSnap
+    /** Chunk @c n holds records [n * kChunk, (n + 1) * kChunk).  Its
+     *  arrays and snapshot images point into @c own for a generated
+     *  chunk, or into the blob mapping; all are null once trimmed. */
+    struct Chunk
     {
-        std::uint64_t idx = 0;           //!< first record it precedes
-        std::vector<std::uint8_t> image; //!< Serializer::image() bytes
+        const PackedStep *recs = nullptr;
+        const std::uint64_t *cumA = nullptr;
+        const std::uint64_t *cumI = nullptr;
+        std::uint64_t iBefore = 0; //!< retirement total before recs[0]
+        //! Stream state and virgin hierarchy before recs[0]
+        //! (Serializer::image() bytes).
+        std::span<const std::uint8_t> streamImage;
+        std::span<const std::uint8_t> hierImage;
+        std::unique_ptr<ChunkStore> own;
+    };
+
+    /** One LLC-bound record: its index and the L2 victim its fill
+     *  displaced (0 when none). */
+    struct LlcEntry
+    {
+        std::uint64_t idx = 0;
+        Addr victim = 0;
     };
 
     struct PerCore
     {
-        std::uint64_t base = 0;      //!< oldest ring-resident index
+        PerCore() = default;
+        PerCore(PerCore &&) = default;
+        PerCore(const PerCore &) = delete; // chunks own their storage
+
         std::uint64_t generated = 0; //!< next index to generate
-        /** Replay mode: zero-copy views into the mapped blob's arrays.
-         *  Records [0, flatCount) live here permanently (never
-         *  trimmed); the ring only ever holds indices >= flatCount,
-         *  generated live past the blob's horizon. */
-        const StepRecord *flat = nullptr;
-        const std::uint64_t *flatA = nullptr;
-        const std::uint64_t *flatI = nullptr;
-        const std::uint64_t *flatLlc = nullptr;
-        std::uint64_t flatCount = 0;
-        std::uint64_t flatLlcCount = 0;
-        /** Live record window as a power-of-2 ring: record @c i lives at
-         *  slot <tt>i & (ring.size()-1)</tt>, so the members' hot-path
-         *  fetch is one masked load with no deque block chasing.  Grown
-         *  (doubled, slots remapped) when the window outruns it. */
-        std::vector<StepRecord> ring;
-        //! Inclusive prefix sums parallel to `ring` (same slot mapping):
-        //! cumA = private-side cycles, cumI = retirement counts.
-        std::vector<std::uint64_t> cumA;
-        std::vector<std::uint64_t> cumI;
+        //! Chunks by number; [liveFrom, generated / kChunk) are
+        //! generated here and freed by trim(), and the blob's chunks
+        //! below flatCount / kChunk are never freed.
+        std::vector<Chunk> chunks;
+        std::uint64_t liveFrom = 0;
         std::uint64_t aTotal = 0; //!< running total feeding cumA
         std::uint64_t iTotal = 0; //!< running total feeding cumI
-        //! Absolute indices of LLC-bound records in the live window.
-        std::deque<std::uint64_t> llcIdx;
-        std::deque<StreamSnap> snaps;
-        std::deque<HierSnap> hsnaps;
+        /** Replay mode: the blob's records [0, flatCount) and its
+         *  LLC-bound side table, ordinals [0, flatLlcCount). */
+        const std::uint64_t *flatLlc = nullptr;
+        const std::uint64_t *flatVictim = nullptr;
+        std::uint64_t flatCount = 0;
+        std::uint64_t flatLlcCount = 0;
+        //! Generated LLC-bound records, from ordinal llcBase on.
+        std::deque<LlcEntry> llc;
+        std::uint64_t llcBase = 0;
+        //! PC table: pcs[pcIdx] (the blob's array until goLive()).
+        const Addr *pcs = nullptr;
+        std::vector<Addr> pcTab;
+        //! Open-addressed index into pcTab (entry + 1; 0 = empty).
+        std::vector<std::uint32_t> pcSlots;
+        WindowPeak peak;
     };
 
     /** Generate whole chunks until @p idx exists. */
@@ -290,33 +371,72 @@ class FanoutFeed
      * Replay mode only: a member consumed past the blob's horizon, so
      * rebuild live front-end state for @p core — fresh streams from the
      * factory, the stream restored from the blob's newest snapshot and
-     * advanced, and the virgin hierarchy re-materialized by record
-     * replay — then generation continues exactly as a cold run would.
+     * advanced, the virgin hierarchy re-materialized by record replay,
+     * and the PC table copied out of the blob — then generation
+     * continues exactly as a cold run would.
      */
     void goLive(CoreId core);
 
-    /** Prefix sum through @p idx, flat or ring. */
-    std::uint64_t cumAt(const PerCore &pc, std::uint64_t idx) const
+    /** PC table index of @p pc_value, appending it when new. */
+    static std::uint32_t internPc(PerCore &pc, Addr pc_value);
+
+    /** Chunk holding @p idx, which must exist and not be trimmed. */
+    static const Chunk &liveChunk(const PerCore &pc, std::uint64_t idx)
     {
-        return idx < pc.flatCount
-                   ? pc.flatA[idx]
-                   : pc.cumA[idx & (pc.ring.size() - 1)];
+        RC_ASSERT(idx < pc.generated && pc.chunks[idx / kChunk].recs,
+                  "record %llu outside the live window (generated %llu)",
+                  static_cast<unsigned long long>(idx),
+                  static_cast<unsigned long long>(pc.generated));
+        return pc.chunks[idx / kChunk];
     }
 
-    /** Record @p idx, flat or ring (must already exist). */
-    const StepRecord &recAt(const PerCore &pc, std::uint64_t idx) const
+    /** Number of the chunk whose snapshots anchor record @p idx
+     *  (idx <= generated): the chunk holding it, or the last one for
+     *  idx == generated. */
+    static std::uint64_t anchorChunk(const PerCore &pc, std::uint64_t idx);
+
+    /** Record index of LLC-bound ordinal @p n. */
+    static std::uint64_t llcIdxAt(const PerCore &pc, std::uint64_t n)
     {
-        return idx < pc.flatCount
-                   ? pc.flat[idx]
-                   : pc.ring[idx & (pc.ring.size() - 1)];
+        return n < pc.flatLlcCount ? pc.flatLlc[n]
+                                   : pc.llc[n - pc.llcBase].idx;
+    }
+
+    /** L2 victim of LLC-bound ordinal @p n. */
+    static Addr llcVictimAt(const PerCore &pc, std::uint64_t n)
+    {
+        return n < pc.flatLlcCount ? pc.flatVictim[n]
+                                   : pc.llc[n - pc.llcBase].victim;
+    }
+
+    /** LLC-bound records generated so far (ordinals in use). */
+    static std::uint64_t llcTotal(const PerCore &pc)
+    {
+        return pc.llcBase + pc.llc.size();
+    }
+
+    /** Ordinal of the first LLC-bound record at or after @p idx,
+     *  walking forward from the hint @p n (an ordinal no greater than
+     *  the answer), and storing the answer back into it. */
+    static std::uint64_t llcOrdinal(const PerCore &pc, std::uint64_t idx,
+                                    std::uint64_t &n);
+
+    /** The same, by binary search (no hint). */
+    static std::uint64_t llcLowerBound(const PerCore &pc,
+                                       std::uint64_t idx);
+
+    /** Prefix sum through @p idx, which must be live. */
+    static std::uint64_t cumAt(const PerCore &pc, std::uint64_t idx)
+    {
+        return pc.chunks[idx / kChunk].cumA[idx % kChunk];
     }
 
     /** Canonical pre-step ready time of record @p j for a core at
      *  (@p cursor, @p base_ready, @p base_cum_a); j >= cursor and
      *  [cursor, j) all private-complete. */
-    Cycle preReadyOf(const PerCore &pc, std::uint64_t cursor,
-                     std::uint64_t base_cum_a, Cycle base_ready,
-                     std::uint64_t j) const
+    static Cycle preReadyOf(const PerCore &pc, std::uint64_t cursor,
+                            std::uint64_t base_cum_a, Cycle base_ready,
+                            std::uint64_t j)
     {
         return j == cursor
                    ? base_ready
@@ -325,19 +445,12 @@ class FanoutFeed
 
     /** First index in [cursor, limit] whose pre-step ready time passes
      *  @p bound (`>` when strict, else `>=`). */
-    std::uint64_t firstAtOrPast(const PerCore &pc, std::uint64_t cursor,
-                                std::uint64_t base_cum_a,
-                                Cycle base_ready, std::uint64_t limit,
-                                Cycle bound, bool strict) const;
-
-    /** Double @p pc's ring and remap the live window into it. */
-    static void growRing(PerCore &pc);
-
-    /** Records per generation chunk (and snapshot cadence). */
-    static constexpr std::uint64_t kChunk = 4096;
-
-    /** Initial ring capacity (slots; must be a power of two). */
-    static constexpr std::size_t kInitialRing = 8192;
+    static std::uint64_t firstAtOrPast(const PerCore &pc,
+                                       std::uint64_t cursor,
+                                       std::uint64_t base_cum_a,
+                                       Cycle base_ready,
+                                       std::uint64_t limit, Cycle bound,
+                                       bool strict);
 
     PrivateConfig privCfg;
     StreamFactory factory;
@@ -388,6 +501,11 @@ class ReplayStream final : public RefStream
     /** Next record index to consume (owned by the member's run loop). */
     std::uint64_t cursor = 0;
 
+    /** The member's position in the feed's LLC-bound side table: an
+     *  ordinal no greater than that of the first LLC-bound record at or
+     *  after @c cursor (see FanoutFeed::victimOf()). */
+    std::uint64_t llcCursor = 0;
+
   private:
     FanoutFeed &feed;
     CoreId coreId;
@@ -398,9 +516,10 @@ class ReplayStream final : public RefStream
  *
  * Every member is a complete Cmp (private hierarchies, crossbar, SLLC,
  * DRAM, stats, hooks) attached to the shared feed; run() interleaves
- * the members in bounded cycle quanta so the feed's record window stays
- * small.  Stats, checkpoints and telemetry of each member are
- * bit-identical to an independent Cmp run of the same config.
+ * the members in cycle quanta, slowest first, and trims the feed after
+ * every member's slice.  Stats, checkpoints and telemetry of each
+ * member are bit-identical to an independent Cmp run of the same
+ * config.
  */
 class FanoutCmp
 {
@@ -441,8 +560,20 @@ class FanoutCmp
     /** The shared feed (tests/diagnostics). */
     FanoutFeed &sharedFeed() { return *feed; }
 
-    /** Advance every member by @p cycles, interleaved in quanta. */
+    /**
+     * Advance every member by @p cycles, interleaved in quanta.  Each
+     * round runs the members in ascending order of records consumed
+     * (ties by member index) and trims the feed after every slice, so
+     * the laggards free the chunks behind them before the leaders
+     * generate new ones.
+     */
     void run(Cycle cycles);
+
+    /** Next record member @p m consumes on @p core (tests/diagnostics). */
+    std::uint64_t cursor(std::size_t m, CoreId core) const
+    {
+        return cursors[m][core]->cursor;
+    }
 
     /** beginMeasurement() on every member. */
     void beginMeasurement();
@@ -451,11 +582,15 @@ class FanoutCmp
     Cycle now() const { return members.front()->now(); }
 
   private:
-    /** Lockstep quantum: members drift at most this many cycles apart,
-     *  bounding the feed's live record window.  Larger quanta amortize
-     *  member switches (each member's private metadata stays hot for
-     *  the whole slice) at the price of a wider record window. */
+    /** Lockstep quantum: members drift at most this many cycles apart.
+     *  Larger quanta amortize member switches (each member's private
+     *  metadata stays hot for the whole slice) at the price of more
+     *  lookahead in the record window, which the members' record spread
+     *  dominates anyway. */
     static constexpr Cycle kQuantum = 262144;
+
+    /** Trim every core of the feed to its slowest member's cursor. */
+    void trimFeed();
 
     std::unique_ptr<FanoutFeed> feed;
     std::vector<std::unique_ptr<Cmp>> members;

@@ -19,15 +19,13 @@
 namespace rc
 {
 
-static_assert(std::is_trivially_copyable_v<StepRecord>,
-              "StepRecords are stored and mapped as raw bytes");
+static_assert(std::is_trivially_copyable_v<PackedStep>,
+              "records are stored and mapped as raw bytes");
 
 namespace
 {
 
 constexpr char kMagic[8] = {'R', 'C', 'F', 'E', 'E', 'D', '1', '\0'};
-// v2: the arrays hash became multi-lane (FeedHasher).
-constexpr std::uint32_t kFeedVersion = 2;
 //! Fixed header: magic, version, record size, file size, arrays
 //! off/len/hash, meta off/len, endian tag, CRC32 of the preceding 68.
 constexpr std::uint64_t kHeaderBytes = 72;
@@ -291,12 +289,12 @@ FeedBlob::open(const std::string &path)
                       "feed blob '%s' carries format version %u, "
                       "expected %u",
                       path.c_str(), version, kFeedVersion);
-    if (ld32(h + kOffRecordBytes) != sizeof(StepRecord))
+    if (ld32(h + kOffRecordBytes) != sizeof(PackedStep))
         throwSimError(SimError::Kind::Snapshot,
                       "feed blob '%s' was written with %u-byte records, "
                       "this build uses %zu",
                       path.c_str(), ld32(h + kOffRecordBytes),
-                      sizeof(StepRecord));
+                      sizeof(PackedStep));
     if (ld32(h + kOffEndianTag) != kEndianTag)
         throwSimError(SimError::Kind::Snapshot,
                       "feed blob '%s' has foreign endianness",
@@ -354,35 +352,54 @@ FeedBlob::open(const std::string &path)
         view.label = d.getString();
         view.count = d.getU64();
         view.llcCount = d.getU64();
+        view.pcCount = d.getU64();
         const std::uint64_t recOff = d.getU64();
         const std::uint64_t aOff = d.getU64();
         const std::uint64_t iOff = d.getU64();
         const std::uint64_t llcOff = d.getU64();
-        if (view.llcCount > view.count)
+        const std::uint64_t victimOff = d.getU64();
+        const std::uint64_t pcOff = d.getU64();
+        if (view.count % FanoutFeed::kChunk != 0 ||
+            view.llcCount > view.count || view.pcCount > view.count)
             throwSimError(SimError::Kind::Snapshot,
-                          "feed blob '%s': core %u has more LLC-bound "
-                          "records than records",
+                          "feed blob '%s': core %u declares inconsistent "
+                          "record counts",
                           path.c_str(), c);
-        view.recs = reinterpret_cast<const StepRecord *>(
-            arrayAt(recOff, view.count * sizeof(StepRecord), "record"));
+        view.recs = reinterpret_cast<const PackedStep *>(
+            arrayAt(recOff, view.count * sizeof(PackedStep), "record"));
         view.cumA = reinterpret_cast<const std::uint64_t *>(
             arrayAt(aOff, view.count * 8, "cumA"));
         view.cumI = reinterpret_cast<const std::uint64_t *>(
             arrayAt(iOff, view.count * 8, "cumI"));
         view.llc = reinterpret_cast<const std::uint64_t *>(
             arrayAt(llcOff, view.llcCount * 8, "llc index"));
+        view.llcVictim = reinterpret_cast<const std::uint64_t *>(
+            arrayAt(victimOff, view.llcCount * 8, "llc victim"));
+        view.pcs = reinterpret_cast<const std::uint64_t *>(
+            arrayAt(pcOff, view.pcCount * 8, "pc table"));
+        // One snapshot per chunk, in order: a replaying feed finds a
+        // record's anchor by chunk number.
         const auto loadSnaps = [&](std::vector<Snap> &out) {
             const std::uint64_t n = d.getU64();
-            if (n > (view.count / 64) + 16)
+            if (n != view.count / FanoutFeed::kChunk)
                 throwSimError(SimError::Kind::Snapshot,
-                              "feed blob '%s': implausible snapshot "
-                              "count %llu",
+                              "feed blob '%s': %llu snapshots for %llu "
+                              "chunks",
                               path.c_str(),
-                              static_cast<unsigned long long>(n));
+                              static_cast<unsigned long long>(n),
+                              static_cast<unsigned long long>(
+                                  view.count / FanoutFeed::kChunk));
             out.resize(static_cast<std::size_t>(n));
-            for (Snap &snap : out) {
+            for (std::uint64_t i = 0; i < n; ++i) {
+                Snap &snap = out[i];
                 snap.idx = d.getU64();
                 snap.image = d.getStringBytes();
+                if (snap.idx != i * FanoutFeed::kChunk)
+                    throwSimError(SimError::Kind::Snapshot,
+                                  "feed blob '%s': snapshot %llu is "
+                                  "off its chunk boundary",
+                                  path.c_str(),
+                                  static_cast<unsigned long long>(i));
             }
         };
         loadSnaps(view.streamSnaps);
@@ -498,26 +515,33 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
         // carry absolute offsets.
         struct CoreLayout
         {
-            std::uint64_t count = 0, llcCount = 0;
+            std::uint64_t count = 0, llcCount = 0, pcCount = 0;
             std::uint64_t recOff = 0, aOff = 0, iOff = 0, llcOff = 0;
+            std::uint64_t victimOff = 0, pcOff = 0;
         };
+        constexpr std::uint64_t kChunk = FanoutFeed::kChunk;
         std::vector<CoreLayout> lay(cores);
         std::uint64_t off = arraysOff;
         for (std::uint32_t c = 0; c < cores; ++c) {
             const FanoutFeed::PerCore &pc = feed.per[c];
-            RC_ASSERT(pc.base == 0,
+            RC_ASSERT(pc.liveFrom == 0 && pc.llcBase == 0,
                       "capture-mode feed was trimmed; cannot store");
             CoreLayout &l = lay[c];
             l.count = pc.generated;
-            l.llcCount = pc.llcIdx.size();
+            l.llcCount = pc.llc.size();
+            l.pcCount = pc.pcTab.size();
             l.recOff = align64(off);
-            off = l.recOff + l.count * sizeof(StepRecord);
+            off = l.recOff + l.count * sizeof(PackedStep);
             l.aOff = align64(off);
             off = l.aOff + l.count * 8;
             l.iOff = align64(off);
             off = l.iOff + l.count * 8;
             l.llcOff = align64(off);
             off = l.llcOff + l.llcCount * 8;
+            l.victimOff = align64(off);
+            off = l.victimOff + l.llcCount * 8;
+            l.pcOff = align64(off);
+            off = l.pcOff + l.pcCount * 8;
         }
         const std::uint64_t arraysBytes = off - arraysOff;
         const std::uint64_t metaOff = off;
@@ -536,21 +560,23 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
             meta.putString(feed.labels[c]);
             meta.putU64(l.count);
             meta.putU64(l.llcCount);
+            meta.putU64(l.pcCount);
             meta.putU64(l.recOff);
             meta.putU64(l.aOff);
             meta.putU64(l.iOff);
             meta.putU64(l.llcOff);
-            meta.putU64(pc.snaps.size());
-            for (const FanoutFeed::StreamSnap &snap : pc.snaps) {
-                meta.putU64(snap.idx);
-                meta.putString(std::string(snap.image.begin(),
-                                           snap.image.end()));
-            }
-            meta.putU64(pc.hsnaps.size());
-            for (const FanoutFeed::HierSnap &snap : pc.hsnaps) {
-                meta.putU64(snap.idx);
-                meta.putString(std::string(snap.image.begin(),
-                                           snap.image.end()));
+            meta.putU64(l.victimOff);
+            meta.putU64(l.pcOff);
+            for (const bool stream : {true, false}) {
+                meta.putU64(pc.chunks.size());
+                for (std::size_t n = 0; n < pc.chunks.size(); ++n) {
+                    const std::span<const std::uint8_t> image =
+                        stream ? pc.chunks[n].streamImage
+                               : pc.chunks[n].hierImage;
+                    meta.putU64(n * kChunk);
+                    meta.putString(
+                        std::string(image.begin(), image.end()));
+                }
             }
             meta.endSection("core");
         }
@@ -582,19 +608,28 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
         for (std::uint32_t c = 0; c < cores; ++c) {
             const FanoutFeed::PerCore &pc = feed.per[c];
             const CoreLayout &l = lay[c];
+            // Capture mode never trims, so the chunks, in order, are
+            // the flat arrays.
             pad(l.recOff);
-            // Capture mode never trims, so the ring's power-of-2 slot
-            // mapping is the identity over [0, generated) and the ring
-            // IS the flat record array.
-            emit(pc.ring.data(), l.count * sizeof(StepRecord));
+            for (const FanoutFeed::Chunk &ch : pc.chunks)
+                emit(ch.recs, kChunk * sizeof(PackedStep));
             pad(l.aOff);
-            emit(pc.cumA.data(), l.count * 8);
+            for (const FanoutFeed::Chunk &ch : pc.chunks)
+                emit(ch.cumA, kChunk * 8);
             pad(l.iOff);
-            emit(pc.cumI.data(), l.count * 8);
+            for (const FanoutFeed::Chunk &ch : pc.chunks)
+                emit(ch.cumI, kChunk * 8);
+            std::vector<std::uint64_t> side(l.llcCount);
             pad(l.llcOff);
-            const std::vector<std::uint64_t> llc(pc.llcIdx.begin(),
-                                                 pc.llcIdx.end());
-            emit(llc.data(), l.llcCount * 8);
+            for (std::uint64_t n = 0; n < l.llcCount; ++n)
+                side[n] = pc.llc[n].idx;
+            emit(side.data(), l.llcCount * 8);
+            pad(l.victimOff);
+            for (std::uint64_t n = 0; n < l.llcCount; ++n)
+                side[n] = pc.llc[n].victim;
+            emit(side.data(), l.llcCount * 8);
+            pad(l.pcOff);
+            emit(pc.pcTab.data(), l.pcCount * 8);
         }
         RC_ASSERT(pos == metaOff, "feed blob arrays region drifted");
         fwriteAll(f, metaImg.data(), metaImg.size());
@@ -602,7 +637,7 @@ FeedCache::store(const FeedKey &key, const FanoutFeed &feed)
         std::uint8_t hdr[kHeaderBytes];
         std::memcpy(hdr, kMagic, sizeof(kMagic));
         st32(hdr + kOffVersion, kFeedVersion);
-        st32(hdr + kOffRecordBytes, sizeof(StepRecord));
+        st32(hdr + kOffRecordBytes, sizeof(PackedStep));
         st64(hdr + kOffFileBytes, metaOff + metaImg.size());
         st64(hdr + kOffArraysOff, arraysOff);
         st64(hdr + kOffArraysBytes, arraysBytes);

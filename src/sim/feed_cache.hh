@@ -1,7 +1,7 @@
 /**
  * @file
  * Persistent content-addressed feed cache: the fan-out front end's
- * classified per-core StepRecord streams, serialized once and replayed
+ * classified per-core record streams, serialized once and replayed
  * forever.
  *
  * PAPER.md's configurations differ only at the SLLC, so the private
@@ -12,31 +12,35 @@
  * per sweep; this module makes it durable, so even a never-before-seen
  * SLLC config skips the front end entirely.
  *
- * Blob format `RCFEED1`, format version 2 (one file per key,
+ * Blob format `RCFEED1`, format version 3 (one file per key,
  * `feed-<digest16>.bin`):
  *
  *   [0..71]    72-byte fixed header: magic "RCFEED1\0", format version,
- *              sizeof(StepRecord), total file bytes, arrays region
+ *              sizeof(PackedStep), total file bytes, arrays region
  *              offset/length/hash, meta region offset/length, an
  *              endianness tag, and a CRC32 over the preceding header
  *              bytes.
- *   arrays     per-core flat arrays, each 64-byte aligned: StepRecords,
- *              inclusive cumA/cumI prefix sums, and the LLC-bound
- *              record index.  Guarded by feedHash64, a multi-lane
- *              64-bit word hash: word i of the region feeds lane
- *              i % kFeedHashLanes, so the lanes' multiply chains overlap
- *              and the hash nearly keeps up with a plain read: 5.4 GB/s
- *              against 5.8 GB/s over an in-memory 84 MB buffer on a
- *              4-vCPU x86-64 dev host, where version 1's single chain
- *              ran at 3.3 GB/s.  Version 1 blobs fail the version check
- *              and recompute once.
+ *   arrays     per-core flat arrays, each 64-byte aligned: 16-byte
+ *              PackedSteps, inclusive cumA/cumI prefix sums, the
+ *              LLC-bound record index, the L2 victims of those records
+ *              and the PC table the records index into.  Guarded by
+ *              feedHash64, a multi-lane 64-bit word hash: word i of the
+ *              region feeds lane i % kFeedHashLanes, so the lanes'
+ *              multiply chains overlap and the hash nearly keeps up with
+ *              a plain read: 5.4 GB/s against 5.8 GB/s over an in-memory
+ *              84 MB buffer on a 4-vCPU x86-64 dev host.
  *   meta       a complete snapshot-container image (RCSNAP01, its own
  *              CRC32): the full canonical key bytes, per-core labels,
- *              counts, array offsets, and every chunk-boundary stream +
- *              virgin-hierarchy snapshot the express lane needs.
+ *              counts, array offsets, and the stream + virgin-hierarchy
+ *              snapshot of every chunk, which the express lane and
+ *              checkpoints need.
+ *
+ * Version 3 moved to 16-byte records (version 2 stored 32-byte ones
+ * holding the PC and the victim inline); version 1 and 2 blobs fail the
+ * version check, drop and recompute once.
  *
  * Both regions are consumed in place: a warm FanoutFeed reads
- * StepRecords straight out of the mmap, and the chunk snapshots are
+ * PackedSteps straight out of the mmap, and the chunk snapshots are
  * views into it, restored from there.  Every open verifies the header
  * CRC, the arrays hash over every byte, the meta container CRC, AND
  * compares the stored key bytes against the probe — a corrupt blob or
@@ -107,6 +111,11 @@ FeedKey feedKeyOf(const SystemConfig &cfg, const Mix &mix,
                   std::uint64_t seed, std::uint32_t scale,
                   std::uint64_t warmup, std::uint64_t measure);
 
+/** Blob format version (see the file comment).  v2: the arrays hash
+ *  became multi-lane; v3: 16-byte PackedSteps, with victim and PC
+ *  arrays beside the LLC-bound index. */
+constexpr std::uint32_t kFeedVersion = 3;
+
 /** Independent multiply chains in feedHash64: word i of the hashed
  *  span feeds lane i % kFeedHashLanes. */
 constexpr std::size_t kFeedHashLanes = 8;
@@ -139,12 +148,16 @@ class FeedBlob
     struct CoreView
     {
         std::string label;
-        const StepRecord *recs = nullptr;
+        const PackedStep *recs = nullptr;
         const std::uint64_t *cumA = nullptr;
         const std::uint64_t *cumI = nullptr;
-        const std::uint64_t *llc = nullptr;
+        const std::uint64_t *llc = nullptr;       //!< LLC-bound indices
+        const std::uint64_t *llcVictim = nullptr; //!< their L2 victims
+        const std::uint64_t *pcs = nullptr;       //!< PC table
         std::uint64_t count = 0;    //!< records (chunk-aligned)
         std::uint64_t llcCount = 0; //!< LLC-bound records
+        std::uint64_t pcCount = 0;  //!< PC table entries
+        //! One per chunk, in chunk order.
         std::vector<Snap> streamSnaps;
         std::vector<Snap> hierSnaps;
     };

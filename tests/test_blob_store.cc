@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scoped_dir.hh"
 #include "snapshot/blob_store.hh"
 
 namespace rc
@@ -40,20 +41,6 @@ const Layout kLayouts[] = {
     {"memo", "cache.index", "# rc result cache index v1\n"},
     {"feed", "feed.index", "# rc feed cache index v1\n"},
 };
-
-std::string
-scratchDir(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + name + "-" +
-           std::to_string(::getpid());
-}
-
-void
-removeTree(const std::string &dir)
-{
-    const std::string cmd = "rm -rf '" + dir + "'";
-    (void)std::system(cmd.c_str());
-}
 
 bool
 exists(const std::string &path)
@@ -117,8 +104,8 @@ TEST(BlobStoreTest, RecoveryAdoptsSweepsKeepsLocksAndCompactsTheIndex)
     constexpr std::uint64_t neverLanded = 0x0123456789abcdefull;
     for (const Layout &layout : kLayouts) {
         SCOPED_TRACE(layout.prefix);
-        const std::string dir = scratchDir("blob-recover");
-        removeTree(dir);
+        const ScopedDir scratch("blob-recover");
+        const std::string &dir = scratch.path();
         const std::string index = dir + "/" + layout.index;
         std::string lockPath, fixedTmp, uniqueTmp, indexTmp;
         {
@@ -167,7 +154,6 @@ TEST(BlobStoreTest, RecoveryAdoptsSweepsKeepsLocksAndCompactsTheIndex)
             layout.index,
         };
         EXPECT_EQ(listDir(dir), expected) << "no staging file may remain";
-        removeTree(dir);
     }
 }
 
@@ -178,8 +164,8 @@ TEST(BlobStoreTest, EightThreadsPuttingOneDigestLeaveOneIntactBlob)
     constexpr std::size_t chunk = 4096, chunks = 64;
     for (const Layout &layout : kLayouts) {
         SCOPED_TRACE(layout.prefix);
-        const std::string dir = scratchDir("blob-race");
-        removeTree(dir);
+        const ScopedDir scratch("blob-race");
+        const std::string &dir = scratch.path();
         BlobStore store(dir, layout.prefix, layout.index, layout.header);
         std::vector<std::thread> threads;
         bool stored[writers] = {};
@@ -212,7 +198,6 @@ TEST(BlobStoreTest, EightThreadsPuttingOneDigestLeaveOneIntactBlob)
                                          layout.index}));
         EXPECT_EQ(readDigestLines(dir + "/" + layout.index, "entry"),
                   (std::unordered_set<std::uint64_t>{digest}));
-        removeTree(dir);
     }
 }
 

@@ -27,6 +27,7 @@
 
 #include "common/log.hh"
 #include "harness.hh"
+#include "scoped_dir.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/frame.hh"
@@ -70,19 +71,18 @@ tinyRequest(std::uint64_t seed = 42)
     return req;
 }
 
-/** Per-test socket + cache dir, unique per pid so reruns start clean. */
+/** Per-test socket + cache dir, unique per pid, removed when the test
+ *  ends. */
 struct Scratch
 {
+    ScopedDir base;
     std::string sock;
     std::string cacheDir;
-    explicit Scratch(const std::string &name)
+    explicit Scratch(const std::string &name) : base(name)
     {
-        const std::string base = std::string(::testing::TempDir()) +
-                                 name + "-" + std::to_string(::getpid());
-        (void)std::system(("rm -rf '" + base + "'").c_str());
-        ::mkdir(base.c_str(), 0777);
-        cacheDir = base + "/cache";
-        sock = base + "/d.sock";
+        ::mkdir(base.path().c_str(), 0777);
+        cacheDir = base.path() + "/cache";
+        sock = base.path() + "/d.sock";
     }
 };
 

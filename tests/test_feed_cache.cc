@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/replacement.hh"
+#include "scoped_dir.hh"
 #include "service/run_request.hh"
 #include "sim/cmp.hh"
 #include "sim/fanout.hh"
@@ -102,20 +103,6 @@ fingerprint(const Cmp &sim)
     return os.str();
 }
 
-std::string
-scratchDir(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + name + "-" +
-           std::to_string(::getpid());
-}
-
-void
-removeTree(const std::string &dir)
-{
-    const std::string cmd = "rm -rf '" + dir + "'";
-    (void)std::system(cmd.c_str());
-}
-
 /** Drive @p fan through the standard warmup+measure window. */
 void
 runWindow(FanoutCmp &fan, Cycle warmup, Cycle measure)
@@ -170,8 +157,8 @@ runViaProtocol(const std::string &dir,
 
 TEST(FeedCacheTest, WarmReplayBitIdenticalToColdCapture)
 {
-    const std::string dir = scratchDir("rc-feed-identity");
-    removeTree(dir);
+    const ScopedDir scratch("rc-feed-identity");
+    const std::string &dir = scratch.path();
     const std::vector<SystemConfig> cfgs = matrixConfigs();
 
     FeedCache fc(dir);
@@ -202,7 +189,6 @@ TEST(FeedCacheTest, WarmReplayBitIdenticalToColdCapture)
     EXPECT_EQ(st.stores, 1u);
     EXPECT_EQ(st.hits, 1u);
     EXPECT_GE(st.misses, 1u);
-    removeTree(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -211,8 +197,8 @@ TEST(FeedCacheTest, WarmReplayBitIdenticalToColdCapture)
 
 TEST(FeedCacheTest, WarmCheckpointsByteIdenticalToCold)
 {
-    const std::string dir = scratchDir("rc-feed-ckpt");
-    removeTree(dir);
+    const ScopedDir scratch("rc-feed-ckpt");
+    const std::string &dir = scratch.path();
     std::vector<SystemConfig> cfgs;
     cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
     cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
@@ -257,7 +243,6 @@ TEST(FeedCacheTest, WarmCheckpointsByteIdenticalToCold)
                 << " differs between cold capture and warm replay";
         }
     }
-    removeTree(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -477,9 +462,8 @@ TEST(FeedCacheTest, CorruptBlobDemotesToVerifiedRecompute)
         EXPECT_EQ(detectedBy(cls, LlcKind::Reuse),
                   Invariant::FeedIntegrity);
 
-        const std::string dir =
-            scratchDir(std::string("rc-feed-") + toString(cls));
-        removeTree(dir);
+        const ScopedDir scratch(std::string("rc-feed-") + toString(cls));
+        const std::string &dir = scratch.path();
         const FeedKey key =
             feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
         std::string pristine;
@@ -514,7 +498,6 @@ TEST(FeedCacheTest, CorruptBlobDemotesToVerifiedRecompute)
         FeedCache after(dir);
         EXPECT_NE(after.lookup(key), nullptr)
             << "recompute should have re-stored the blob";
-        removeTree(dir);
     }
 }
 
@@ -565,8 +548,8 @@ TEST(FeedCacheTest, EveryHashLaneAndTheMetaRegionAreVerified)
     cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
     cfgs.front().seed = kSeed;
     constexpr Cycle kW = 20'000, kM = 60'000;
-    const std::string dir = scratchDir("rc-feed-lanes");
-    removeTree(dir);
+    const ScopedDir scratch("rc-feed-lanes");
+    const std::string &dir = scratch.path();
     const FeedKey key =
         feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
     std::string path;
@@ -619,10 +602,14 @@ TEST(FeedCacheTest, EveryHashLaneAndTheMetaRegionAreVerified)
         EXPECT_NE(::access(path.c_str(), F_OK), 0)
             << "corrupt blob left on disk";
     }
-    removeTree(dir);
 }
 
-TEST(FeedCacheTest, VersionOneBlobDropsAndRecomputesBitIdentically)
+/** Store a current blob, reseal it as format version @p stale (only the
+ *  version check can reject it then, as it rejects a blob an older
+ *  build wrote), and check that it drops and recomputes bit-identically
+ *  into a current blob. */
+void
+expectStaleVersionRecomputes(std::uint32_t stale)
 {
     std::vector<SystemConfig> cfgs;
     cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
@@ -630,8 +617,8 @@ TEST(FeedCacheTest, VersionOneBlobDropsAndRecomputesBitIdentically)
     for (SystemConfig &c : cfgs)
         c.seed = kSeed;
     constexpr Cycle kW = 20'000, kM = 60'000;
-    const std::string dir = scratchDir("rc-feed-v1");
-    removeTree(dir);
+    const ScopedDir scratch("rc-feed-v" + std::to_string(stale));
+    const std::string &dir = scratch.path();
     const FeedKey key =
         feedKeyOf(cfgs.front(), testMix(), kSeed, kScale, kW, kM);
     std::string pristine;
@@ -645,12 +632,10 @@ TEST(FeedCacheTest, VersionOneBlobDropsAndRecomputesBitIdentically)
         path = fc.blobPath(key.digest);
     }
 
-    // Reseal the blob as format version 1: only the version check can
-    // reject it now, as it rejects a blob an older build wrote.
     std::vector<std::uint8_t> bytes = readBytes(path);
     ASSERT_GT(bytes.size(), kHdrCrc + 4);
-    ASSERT_EQ(headerField(bytes, kHdrVersion, 4), 2u);
-    bytes[kHdrVersion] = 1;
+    ASSERT_EQ(headerField(bytes, kHdrVersion, 4), kFeedVersion);
+    bytes[kHdrVersion] = static_cast<std::uint8_t>(stale);
     const std::uint32_t crc = crc32(bytes.data(), kHdrCrc);
     for (int i = 0; i < 4; ++i)
         bytes[kHdrCrc + i] = static_cast<std::uint8_t>(crc >> (8 * i));
@@ -669,7 +654,17 @@ TEST(FeedCacheTest, VersionOneBlobDropsAndRecomputesBitIdentically)
     FeedCache after(dir);
     EXPECT_NE(after.lookup(key), nullptr)
         << "the recompute should have stored a current blob";
-    removeTree(dir);
+}
+
+TEST(FeedCacheTest, VersionOneBlobDropsAndRecomputesBitIdentically)
+{
+    expectStaleVersionRecomputes(1);
+}
+
+/** Version 2 stored 32-byte records with the PC and victim inline. */
+TEST(FeedCacheTest, VersionTwoBlobDropsAndRecomputesBitIdentically)
+{
+    expectStaleVersionRecomputes(2);
 }
 
 TEST(FeedCacheTest, InjectorRejectsNonFeedClassesAndMissingBlobs)
@@ -692,8 +687,8 @@ TEST(FeedCacheTest, InjectorRejectsNonFeedClassesAndMissingBlobs)
 
 TEST(FeedCacheTest, RecoveryAdoptsAnUnindexedBlobThatThenHits)
 {
-    const std::string dir = scratchDir("rc-feed-recover");
-    removeTree(dir);
+    const ScopedDir scratch("rc-feed-recover");
+    const std::string &dir = scratch.path();
     std::vector<SystemConfig> cfgs;
     cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
     cfgs.front().seed = kSeed;
@@ -727,7 +722,6 @@ TEST(FeedCacheTest, RecoveryAdoptsAnUnindexedBlobThatThenHits)
     EXPECT_NE(fc.lookup(key), nullptr) << "the adopted blob must hit";
     EXPECT_EQ(fc.stats().hits, 1u);
     EXPECT_NE(::access(stale.c_str(), F_OK), 0) << "stale tmp not swept";
-    removeTree(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -736,8 +730,8 @@ TEST(FeedCacheTest, RecoveryAdoptsAnUnindexedBlobThatThenHits)
 
 TEST(FeedCacheTest, ColdKeyRaceSerializesViaFlock)
 {
-    const std::string dir = scratchDir("rc-feed-race");
-    removeTree(dir);
+    const ScopedDir scratch("rc-feed-race");
+    const std::string &dir = scratch.path();
     std::vector<SystemConfig> cfgs;
     cfgs.push_back(conventionalSystem(8.0, ReplKind::LRU, kScale));
     cfgs.push_back(reuseSystem(4.0, 1.0, 16, kScale));
@@ -794,7 +788,6 @@ TEST(FeedCacheTest, ColdKeyRaceSerializesViaFlock)
     const std::string replayed = runViaProtocol(dir, cfgs, kW, kM, &warm);
     EXPECT_TRUE(warm);
     EXPECT_EQ(replayed, parentFp);
-    removeTree(dir);
 }
 
 } // namespace

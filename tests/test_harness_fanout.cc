@@ -18,6 +18,7 @@
 
 #include "cache/replacement.hh"
 #include "harness.hh"
+#include "scoped_dir.hh"
 #include "sim/feed_cache.hh"
 #include "sim/system_config.hh"
 #include "workloads/mixes.hh"
@@ -138,7 +139,8 @@ TEST(HarnessFanout, FanoutWithTelemetryMatchesPlainRun)
 
     const auto plain = bench::runConfigsOverMixes(cfgs, mixes, opt);
 
-    opt.telemetryDir = ::testing::TempDir() + "rc-fanout-telemetry";
+    const ScopedDir telemetry("rc-fanout-telemetry");
+    opt.telemetryDir = telemetry.path();
     opt.sampleInterval = 25'000;
     const auto instrumented = bench::runConfigsOverMixes(cfgs, mixes, opt);
 
@@ -176,9 +178,8 @@ TEST(HarnessFanout, FeedCachedSweepMatchesPlain)
     const auto plain = bench::runConfigsOverMixes(cfgs, mixes, plainOpt);
 
     auto opt = plainOpt;
-    opt.feedCacheDir = ::testing::TempDir() + "rc-harness-feedcache";
-    const std::string rm = "rm -rf '" + opt.feedCacheDir + "'";
-    (void)std::system(rm.c_str());
+    const ScopedDir feeds("rc-harness-feedcache");
+    opt.feedCacheDir = feeds.path();
 
     const auto cold = bench::runConfigsOverMixes(cfgs, mixes, opt);
     const auto fc = FeedCache::open(opt.feedCacheDir);
@@ -198,7 +199,6 @@ TEST(HarnessFanout, FeedCachedSweepMatchesPlain)
             expectIdentical(plain[i][m], warm[i][m], what);
         }
     }
-    (void)std::system(rm.c_str());
 }
 
 /**

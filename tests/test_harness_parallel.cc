@@ -195,6 +195,15 @@ struct MalformedFlag
     const char *message;
 };
 
+/** A flag prints as its argument, so each test name is the same string
+ *  on every build (gtest prints a struct it cannot print by its bytes,
+ *  pointers included). */
+void
+PrintTo(const MalformedFlag &flag, std::ostream *os)
+{
+    *os << flag.arg;
+}
+
 /** parseArgs itself prints the usage and dies: no simulation starts. */
 void
 expectDiesInParseArgs(const MalformedFlag &flag)
@@ -207,20 +216,9 @@ expectDiesInParseArgs(const MalformedFlag &flag)
 }
 
 /** A malformed value for a flag every run reads (--mixes, --scale, the
- *  windows, --seed, --jobs). It prints as its argument, so each test
- *  name is the same string on every build. */
-struct MalformedRunFlag : MalformedFlag
-{
-};
-
-void
-PrintTo(const MalformedRunFlag &flag, std::ostream *os)
-{
-    *os << flag.arg;
-}
-
+ *  windows, --seed, --jobs). */
 class HarnessRunFlagsDeathTest
-    : public ::testing::TestWithParam<MalformedRunFlag>
+    : public ::testing::TestWithParam<MalformedFlag>
 {
 };
 
@@ -232,19 +230,19 @@ TEST_P(HarnessRunFlagsDeathTest, DiesInParseArgs)
 INSTANTIATE_TEST_SUITE_P(
     MalformedNumbers, HarnessRunFlagsDeathTest,
     ::testing::Values(
-        MalformedRunFlag{{"mixes", "--mixes=-1",
-                          "--mixes needs an unsigned decimal"}},
-        MalformedRunFlag{{"scale", "--scale=4294967296",
-                          "--scale needs an unsigned decimal in range"}},
-        MalformedRunFlag{{"warmup", "--warmup=1e6",
-                          "--warmup needs an unsigned decimal"}},
-        MalformedRunFlag{{"measure", "--measure=-1",
-                          "--measure needs an unsigned decimal"}},
-        MalformedRunFlag{{"seed", "--seed=abc",
-                          "--seed needs an unsigned decimal"}},
-        MalformedRunFlag{{"jobs", "--jobs=2x",
-                          "--jobs needs an unsigned decimal"}}),
-    [](const ::testing::TestParamInfo<MalformedRunFlag> &info) {
+        MalformedFlag{"mixes", "--mixes=-1",
+                      "--mixes needs an unsigned decimal"},
+        MalformedFlag{"scale", "--scale=4294967296",
+                      "--scale needs an unsigned decimal in range"},
+        MalformedFlag{"warmup", "--warmup=1e6",
+                      "--warmup needs an unsigned decimal"},
+        MalformedFlag{"measure", "--measure=-1",
+                      "--measure needs an unsigned decimal"},
+        MalformedFlag{"seed", "--seed=abc",
+                      "--seed needs an unsigned decimal"},
+        MalformedFlag{"jobs", "--jobs=2x",
+                      "--jobs needs an unsigned decimal"}),
+    [](const ::testing::TestParamInfo<MalformedFlag> &info) {
         return std::string(info.param.name);
     });
 
@@ -257,8 +255,7 @@ TEST_P(HarnessFlagsDeathTest, DiesInParseArgs)
     expectDiesInParseArgs(GetParam());
 }
 
-/** The sweep and integrity flags. gtest names a struct it cannot print
- *  by its bytes, so these test names end in string addresses. */
+/** The sweep and integrity flags. */
 INSTANTIATE_TEST_SUITE_P(
     MalformedNumbers, HarnessFlagsDeathTest,
     ::testing::Values(

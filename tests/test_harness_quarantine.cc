@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "harness.hh"
+#include "scoped_dir.hh"
 #include "sim/system_config.hh"
 #include "snapshot/journal.hh"
 
@@ -155,8 +156,8 @@ TEST(HarnessQuarantine, InjectedFanoutJobIsQuarantinedWhole)
     auto poisoned = clean;
     poisoned.injectFault = "dir-drop";
     poisoned.injectRun = 1;
-    poisoned.sweepDir = ::testing::TempDir() + "rc-inject-fanout-" +
-                        std::to_string(::getpid());
+    const ScopedDir sweep("rc-inject-fanout");
+    poisoned.sweepDir = sweep.path();
     bench::resetSweepBatchesForTest();
     const auto got = bench::runConfigsOverMixes(cfgs, mixes, poisoned);
 

@@ -30,6 +30,7 @@
 #include "analysis/liveness.hh"
 #include "cache/replacement.hh"
 #include "harness.hh"
+#include "scoped_dir.hh"
 #include "service/result_cache.hh"
 #include "sim/system_config.hh"
 #include "snapshot/journal.hh"
@@ -51,21 +52,6 @@ smokeOptions(std::uint32_t jobs)
     opt.seed = 42;
     opt.jobs = jobs;
     return opt;
-}
-
-/** Per-test sweep directory, unique per process so reruns start clean. */
-std::string
-sweepDir(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + name + "-" +
-           std::to_string(::getpid());
-}
-
-/** Drop any journal/store/checkpoint litter a previous test left. */
-void
-scrubDir(const std::string &dir)
-{
-    (void)std::system(("rm -rf '" + dir + "'").c_str());
 }
 
 /** Where grid cell (@p cfg, @p mix) checkpoints under @p opt. */
@@ -162,8 +148,8 @@ TEST(HarnessResume, JournaledRunsAreSkippedAndReloadedOnResume)
     const auto base = smokeOptions(2);
     const auto ref = referenceSweep(sys, mixes, base);
 
-    const std::string dir = sweepDir("resume-skip");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-skip");
+    const std::string &dir = scratch.path();
 
     // First launch: everything runs, is journaled and is stored.
     auto first = base;
@@ -227,8 +213,8 @@ TEST(HarnessResume, CrashedSweepResumesFromCheckpointsBitIdentically)
     const auto base = smokeOptions(4);
     const auto ref = referenceSweep(sys, mixes, base);
 
-    const std::string dir = sweepDir("resume-crash");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-crash");
+    const std::string &dir = scratch.path();
 
     auto crashing = base;
     crashing.sweepDir = dir;
@@ -283,8 +269,8 @@ TEST(HarnessResume, ResumeWithoutCheckpointIntervalRestores)
     const SystemConfig sys = baselineSystem(8);
     const auto mixes = makeMixes(1, 8, 7);
     const auto ref = referenceSweep(sys, mixes, smokeOptions(1));
-    const std::string dir = sweepDir("resume-no-interval");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-no-interval");
+    const std::string &dir = scratch.path();
 
     auto crashing = smokeOptions(1);
     crashing.sweepDir = dir;
@@ -315,8 +301,8 @@ TEST(HarnessResume, ResumedSweepUnderAnotherSeedReSimulates)
     const std::vector<SystemConfig> cfgs = {baselineSystem(8),
                                             reuseSystem(4.0, 1.0, 0, 8)};
     const auto mixes = makeMixes(2, 8, 7);
-    const std::string dir = sweepDir("resume-reseeded");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-reseeded");
+    const std::string &dir = scratch.path();
 
     auto first = smokeOptions(2);
     first.sweepDir = dir;
@@ -358,8 +344,8 @@ TEST(HarnessResume, JournaledGridKeepsFanoutAndResumesPerJob)
         conventionalSystem(8.0, ReplKind::LRU, 8),
         reuseSystem(4.0, 1.0, 16, 8), ncidSystem(8.0, 1.0, 8)};
     const auto mixes = makeMixes(2, 8, 7);
-    const std::string dir = sweepDir("resume-fanout-grid");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-fanout-grid");
+    const std::string &dir = scratch.path();
 
     auto first = smokeOptions(2);
     first.sweepDir = dir;
@@ -404,8 +390,8 @@ TEST(HarnessResume, ResumeUnderAnotherGridReloadsSharedCells)
     bench::setExitOnQuarantine(false);
     const SystemConfig rc41 = reuseSystem(4.0, 1.0, 0, 8);
     const auto mixes = makeMixes(2, 8, 7);
-    const std::string dir = sweepDir("resume-regrid");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-regrid");
+    const std::string &dir = scratch.path();
 
     auto first = smokeOptions(2);
     first.sweepDir = dir;
@@ -439,8 +425,8 @@ TEST(HarnessResume, CheckpointOfAnotherConfigIsNotRestored)
     SystemConfig slower = base;
     slower.xbar.linkLatency += 3;
     const auto mixes = makeMixes(1, 8, 7);
-    const std::string dir = sweepDir("resume-foreign-ckpt");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-foreign-ckpt");
+    const std::string &dir = scratch.path();
 
     auto crashing = smokeOptions(1);
     crashing.sweepDir = dir;
@@ -478,8 +464,8 @@ TEST(HarnessResume, WatchdogQuarantinesLivelockedRunWhileSiblingsComplete)
     const SystemConfig sys = baselineSystem(8);
     const auto mixes = makeMixes(2, 8, 9);
 
-    const std::string dir = sweepDir("resume-hang");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-hang");
+    const std::string &dir = scratch.path();
 
     auto opt = smokeOptions(2);
     // Long enough that the livelocked run is still going when the
@@ -543,8 +529,8 @@ TEST(HarnessResume, ArmedWatchdogBatchEndsWithItsLastRun)
 
 TEST(HarnessResume, HangDumpRetentionKeepsOnlyTheNewest)
 {
-    const std::string dir = sweepDir("resume-retention");
-    scrubDir(dir);
+    const ScopedDir scratch("resume-retention");
+    const std::string &dir = scratch.path();
     ::mkdir(dir.c_str(), 0777);
 
     // Twelve dumps with strictly increasing, explicitly set mtimes (the

@@ -28,6 +28,7 @@
 
 #include "common/filelock.hh"
 #include "common/log.hh"
+#include "scoped_dir.hh"
 #include "service/frame.hh"
 #include "service/result_cache.hh"
 #include "service/run_request.hh"
@@ -74,21 +75,6 @@ syntheticResult(double salt)
     r.llcMemFetches = 200;
     r.dramReads = 150;
     return r;
-}
-
-std::string
-scratchDir(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + name + "-" +
-           std::to_string(::getpid());
-}
-
-void
-removeTree(const std::string &dir)
-{
-    // Only the flat files the cache creates; no recursion needed.
-    const std::string cmd = "rm -rf '" + dir + "'";
-    (void)std::system(cmd.c_str());
 }
 
 SimError::Kind
@@ -290,8 +276,8 @@ TEST(ServiceRequest, DecodeRejectsSemanticGarbage)
 
 TEST(ResultCacheTest, StoreThenLookupIsBitIdentical)
 {
-    const std::string dir = scratchDir("svc-cache-roundtrip");
-    removeTree(dir);
+    const ScopedDir scratch("svc-cache-roundtrip");
+    const std::string &dir = scratch.path();
     svc::ResultCache cache(dir);
     const RunRequest req = tinyRequest();
     const RunResult res = syntheticResult(0.5);
@@ -313,13 +299,12 @@ TEST(ResultCacheTest, StoreThenLookupIsBitIdentical)
     ASSERT_TRUE(cache.lookup(req, out));
     EXPECT_TRUE(runResultsEqual(out, res));
     EXPECT_EQ(cache.stats().memoryHits, 2u) << "third hit came from disk";
-    removeTree(dir);
 }
 
 TEST(ResultCacheTest, CorruptBlobDemotesToMissAndIsDropped)
 {
-    const std::string dir = scratchDir("svc-cache-corrupt");
-    removeTree(dir);
+    const ScopedDir scratch("svc-cache-corrupt");
+    const std::string &dir = scratch.path();
     svc::ResultCache cache(dir);
     const RunRequest req = tinyRequest();
     cache.store(req, syntheticResult(1.0));
@@ -345,13 +330,12 @@ TEST(ResultCacheTest, CorruptBlobDemotesToMissAndIsDropped)
     // Re-storing heals the entry.
     cache.store(req, syntheticResult(1.0));
     EXPECT_TRUE(cache.lookup(req, out));
-    removeTree(dir);
 }
 
 TEST(ResultCacheTest, DigestCollisionMissesWithoutUnlinking)
 {
-    const std::string dir = scratchDir("svc-cache-collision");
-    removeTree(dir);
+    const ScopedDir scratch("svc-cache-collision");
+    const std::string &dir = scratch.path();
     const RunRequest alice = tinyRequest(1);
     const RunRequest bob = tinyRequest(2);
     const std::uint64_t bobDigest = svc::requestDigest(bob);
@@ -382,13 +366,12 @@ TEST(ResultCacheTest, DigestCollisionMissesWithoutUnlinking)
     // The foreign entry survives: it is some other request's valid data.
     struct stat st;
     EXPECT_EQ(::stat(cache.blobPath(bobDigest).c_str(), &st), 0);
-    removeTree(dir);
 }
 
 TEST(ResultCacheTest, RecoveryAdoptsBlobsDropsTmpAndSurvivesTornEntries)
 {
-    const std::string dir = scratchDir("svc-cache-recover");
-    removeTree(dir);
+    const ScopedDir scratch("svc-cache-recover");
+    const std::string &dir = scratch.path();
     const RunRequest a = tinyRequest(1), b = tinyRequest(2);
     const RunResult ra = syntheticResult(1.0), rb = syntheticResult(2.0);
     std::string tornPath;
@@ -429,7 +412,6 @@ TEST(ResultCacheTest, RecoveryAdoptsBlobsDropsTmpAndSurvivesTornEntries)
     EXPECT_TRUE(runResultsEqual(out, ra));
     EXPECT_FALSE(cache.lookup(b, out)) << "torn blob served";
     EXPECT_EQ(cache.stats().corruptDropped, 1u);
-    removeTree(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -439,8 +421,8 @@ TEST(ResultCacheTest, RecoveryAdoptsBlobsDropsTmpAndSurvivesTornEntries)
 
 TEST(ServiceLock, ConcurrentProcessAppendersNeverTearRecords)
 {
-    const std::string dir = scratchDir("svc-lock");
-    removeTree(dir);
+    const ScopedDir scratch("svc-lock");
+    const std::string &dir = scratch.path();
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     const std::string path = dir + "/shared.index";
     constexpr int children = 4, linesEach = 64;
@@ -502,7 +484,6 @@ TEST(ServiceLock, ConcurrentProcessAppendersNeverTearRecords)
     EXPECT_EQ(total, children * linesEach);
     for (int c = 0; c < children; ++c)
         EXPECT_EQ(seen[c], linesEach) << "child " << c;
-    removeTree(dir);
 }
 
 // ---------------------------------------------------------------------
@@ -527,8 +508,8 @@ TEST(ServiceFaults, ClassSpellingsAndContracts)
 
 TEST(ServiceLock, AcquisitionRetriesThroughSignalInterruptions)
 {
-    const std::string dir = scratchDir("svc-lock-eintr");
-    removeTree(dir);
+    const ScopedDir scratch("svc-lock-eintr");
+    const std::string &dir = scratch.path();
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     const std::string path = dir + "/locked.bin";
     // Two separate open file descriptions: flock held on one must block
@@ -572,7 +553,6 @@ TEST(ServiceLock, AcquisitionRetriesThroughSignalInterruptions)
     ::sigaction(SIGUSR1, &old, nullptr);
     ::close(waiter);
     ::close(holder);
-    removeTree(dir);
 }
 
 TEST(ServiceFrame, PartialWritesAreCompletedOverATinySendBuffer)
@@ -652,8 +632,8 @@ TEST(ServiceFaults, CorruptBlobFileRefusesMissingOrEmptyFiles)
 {
     FaultInjector inj(2);
     EXPECT_FALSE(inj.corruptBlobFile("/nonexistent/nope.bin"));
-    const std::string dir = scratchDir("svc-fault-empty");
-    removeTree(dir);
+    const ScopedDir scratch("svc-fault-empty");
+    const std::string &dir = scratch.path();
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     const std::string empty = dir + "/empty.bin";
     {
@@ -662,7 +642,6 @@ TEST(ServiceFaults, CorruptBlobFileRefusesMissingOrEmptyFiles)
         std::fclose(f);
     }
     EXPECT_FALSE(inj.corruptBlobFile(empty));
-    removeTree(dir);
 }
 
 } // namespace
