@@ -32,11 +32,10 @@ ConventionalLlc::ConventionalLlc(const ConvLlcConfig &cfg_, MemCtrl &mem_)
                                    "victims recalled from private caches")),
       dirtyWritebacks(statSet.add("dirtyWritebacks",
                                   "dirty lines written to memory")),
-      coreAccesses(cfg_.numCores, 0),
-      coreMisses(cfg_.numCores, 0)
+      proto(mem_, cfg_.numCores, cfg_.interventionLatency, false,
+            {interventions, invalidationsSent, inclusionRecalls,
+             dirtyWritebacks})
 {
-    RC_ASSERT(cfg.numCores > 0 && cfg.numCores <= 32,
-              "full-map directory supports 1..32 cores");
 }
 
 ConventionalLlc::Entry *
@@ -79,30 +78,8 @@ void
 ConventionalLlc::evictEntry(std::uint64_t set, std::uint32_t way, Cycle now)
 {
     Entry &e = entries[set * geom.numWays() + way];
-    RC_CHECK(e.state != LlcState::I, SimError::Kind::Integrity,
-             "evicting an invalid entry");
     const Addr line = geom.lineAddr(tagLane[set * geom.numWays() + way], set);
-
-    ProtoInput in{e.state, ProtoEvent::TagRepl, e.dir.hasOwner(), false};
-    const ProtoResult res = protocolTransition(in);
-    RC_CHECK(res.legal, SimError::Kind::Protocol,
-             "TagRepl illegal in state %s", toString(e.state));
-
-    bool dirty_recalled = false;
-    if ((res.actions & ActRecallSharers) && !e.dir.empty()) {
-        RC_CHECK(recaller, SimError::Kind::Config,
-                 "no recall handler installed");
-        dirty_recalled = recaller->recall(line, e.dir.presenceMask());
-        ++inclusionRecalls;
-    }
-    if (res.actions & ActWriteMemData) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
-    if ((res.actions & ActWriteMemPut) && dirty_recalled) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
+    proto.tagRepl(e.state, e.dir, line, now);
 
     if (watcher)
         watcher->onDataEvict(line, now);
@@ -144,7 +121,7 @@ ConventionalLlc::request(const LlcRequest &req)
 {
     const Addr line = lineAlign(req.lineAddr);
     ++accesses;
-    ++coreAccesses[req.core % coreAccesses.size()];
+    proto.countAccess(req.core);
     if (req.event == ProtoEvent::UPG)
         ++upgradeReqs;
 
@@ -152,21 +129,11 @@ ConventionalLlc::request(const LlcRequest &req)
     std::uint32_t hitWay = 0;
     Entry *entry = find(line, hitWay);
 
-    const bool owner_valid = entry && entry->dir.hasOwner();
-    RC_CHECK(!owner_valid || entry->dir.owner() != req.core,
-             SimError::Kind::Protocol,
-             "owner cannot request its own line at the SLLC");
-
-    ProtoInput in;
-    in.state = entry ? entry->state : LlcState::I;
-    in.event = req.event;
-    in.ownerValid = owner_valid;
-    in.selectiveAlloc = false;
     // Conventional caches always allocate data; prefetch priority is
     // handled below at insertion/promotion time.
-    const ProtoResult res = protocolTransition(in);
-    RC_CHECK(res.legal, SimError::Kind::Protocol, "%s illegal in state %s",
-             toString(req.event), toString(in.state));
+    const ProtoResult res =
+        proto.transition(req, entry ? entry->state : LlcState::I,
+                         entry ? &entry->dir : nullptr, false);
 
     LlcResponse resp;
     resp.tagHit = entry != nullptr;
@@ -180,53 +147,21 @@ ConventionalLlc::request(const LlcRequest &req)
             watcher->onDataHit(line, req.now);
     }
 
-    if (res.actions & ActFetchOwner) {
-        RC_CHECK(recaller && entry, SimError::Kind::Config,
-                 "intervention needs owner context");
-        done += cfg.interventionLatency;
-        ++interventions;
-        if (req.event == ProtoEvent::GETS) {
-            // Read intervention: the owner keeps a shared clean copy.
-            recaller->downgrade(line,
-                                1u << entry->dir.owner());
-        }
-        // For GETX the InvSharers recall below retrieves the dirty data
-        // while invalidating the old owner.
-    }
-
-    if (res.actions & ActInvSharers) {
-        RC_CHECK(entry, SimError::Kind::Protocol,
-                 "invalidation needs a directory entry");
-        const std::uint32_t mask = entry->dir.othersMask(req.core);
-        if (mask) {
-            RC_CHECK(recaller, SimError::Kind::Config,
-                     "no recall handler installed");
-            recaller->recall(line, mask);
-            invalidationsSent += __builtin_popcount(mask);
-            for (CoreId c = 0; c < cfg.numCores; ++c) {
-                if (mask & (1u << c))
-                    entry->dir.removeSharer(c);
-            }
-        }
-    }
+    if (entry)
+        done += proto.privateActions(res.actions, req, line, entry->dir);
 
     if (res.actions & ActFetchMem) {
-        // Conventional caches only fetch on a tag miss.
+        // Conventional caches only fetch on a tag miss, and read memory
+        // before the victim's write-back.
         done = mem.readLine(line, req.now + cfg.tagLatency);
         resp.memFetched = true;
         ++tagMisses;
-        ++coreMisses[req.core % coreMisses.size()];
+        proto.countMiss(req.core);
     }
 
     if (entry) {
         // Hit path: update state, directory and recency.
-        entry->state = res.next;
-        if (res.actions & ActClearOwner)
-            entry->dir.clearOwner();
-        if (res.actions & ActFillPrivate)
-            entry->dir.addSharer(req.core);
-        if (res.actions & ActSetOwner)
-            entry->dir.setOwner(req.core);
+        SllcProtocol::update(entry->state, entry->dir, res, req.core);
         if (!req.prefetch)
             fast.onHit(set, hitWay,
                        ReplAccess{req.core, false, false, req.pc, line});
@@ -236,12 +171,8 @@ ConventionalLlc::request(const LlcRequest &req)
         const std::uint32_t way = allocateWay(line, req);
         Entry &e = entries[set * geom.numWays() + way];
         tagLane[set * geom.numWays() + way] = geom.tagOf(line);
-        e.state = res.next;
         e.dir.clear();
-        if (res.actions & ActFillPrivate)
-            e.dir.addSharer(req.core);
-        if (res.actions & ActSetOwner)
-            e.dir.setOwner(req.core);
+        SllcProtocol::update(e.state, e.dir, res, req.core);
         // Prefetched fills enter at the lowest priority [Srinath+07,
         // Wu+11]; with LRU that is the LRU position.
         fast.onFill(set, way,
@@ -268,40 +199,7 @@ ConventionalLlc::evictNotify(Addr line_addr, CoreId core, bool dirty,
                              Cycle now)
 {
     const Addr line = lineAlign(line_addr);
-    Entry *entry = find(line);
-    RC_CHECK(entry, SimError::Kind::Integrity,
-             "eviction notification for a non-resident line "
-             "(inclusion violated)");
-
-    ProtoInput in;
-    in.state = entry->state;
-    in.event = dirty ? ProtoEvent::PUTX : ProtoEvent::PUTS;
-    in.ownerValid = entry->dir.hasOwner();
-    in.selectiveAlloc = false;
-    const ProtoResult res = protocolTransition(in);
-    RC_CHECK(res.legal, SimError::Kind::Protocol, "%s illegal in state %s",
-             toString(in.event), toString(in.state));
-
-    if (res.actions & ActWriteMemPut) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
-    entry->state = res.next;
-    if (res.actions & ActClearOwner)
-        entry->dir.clearOwner();
-    entry->dir.removeSharer(core);
-}
-
-Counter
-ConventionalLlc::missesBy(CoreId core) const
-{
-    return coreMisses[core % coreMisses.size()];
-}
-
-Counter
-ConventionalLlc::accessesBy(CoreId core) const
-{
-    return coreAccesses[core % coreAccesses.size()];
+    proto.put(find(line), line, core, dirty, now);
 }
 
 std::string
@@ -387,8 +285,7 @@ ConventionalLlc::save(Serializer &s) const
     repl->save(s);
     s.endSection();
     statSet.save(s);
-    saveVec(s, coreAccesses);
-    saveVec(s, coreMisses);
+    proto.save(s);
 }
 
 void
@@ -411,8 +308,7 @@ ConventionalLlc::restore(Deserializer &d)
     repl->restore(d);
     d.endSection();
     statSet.restore(d);
-    restoreVec(d, coreAccesses, "per-core LLC accesses");
-    restoreVec(d, coreMisses, "per-core LLC misses");
+    proto.restore(d);
 }
 
 } // namespace rc

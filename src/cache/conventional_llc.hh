@@ -21,6 +21,7 @@
 #include "cache/policy_dispatch.hh"
 #include "cache/replacement.hh"
 #include "coherence/directory.hh"
+#include "coherence/sllc_protocol.hh"
 #include "mem/memctrl.hh"
 
 namespace rc
@@ -53,11 +54,15 @@ class ConventionalLlc : public Sllc
     LlcResponse request(const LlcRequest &req) override;
     void evictNotify(Addr line_addr, CoreId core, bool dirty,
                      Cycle now) override;
-    void setRecallHandler(RecallHandler *handler) override { recaller = handler; }
+    void
+    setRecallHandler(RecallHandler *handler) override
+    {
+        proto.setRecallHandler(handler);
+    }
     void setObserver(LlcObserver *observer) override { watcher = observer; }
     const StatSet &stats() const override { return statSet; }
-    Counter missesBy(CoreId core) const override;
-    Counter accessesBy(CoreId core) const override;
+    Counter missesBy(CoreId c) const override { return proto.missesBy(c); }
+    Counter accessesBy(CoreId c) const override { return proto.accessesBy(c); }
     std::string describe() const override;
     std::uint64_t dataLinesResident() const override;
     std::uint64_t dataLinesTotal() const override { return geom.numLines(); }
@@ -124,7 +129,6 @@ class ConventionalLlc : public Sllc
     std::unique_ptr<ReplacementPolicy> repl;
     PolicyRef fast; //!< devirtualized view of *repl for the hot path
     MemCtrl &mem;
-    RecallHandler *recaller = nullptr;
     LlcObserver *watcher = nullptr;
 
     StatSet statSet;
@@ -136,8 +140,7 @@ class ConventionalLlc : public Sllc
     Counter &invalidationsSent;
     Counter &inclusionRecalls;
     Counter &dirtyWritebacks;
-    std::vector<Counter> coreAccesses;
-    std::vector<Counter> coreMisses;
+    SllcProtocol proto;
 };
 
 } // namespace rc

@@ -3,13 +3,15 @@
  * TO-MSI coherence protocol (paper Section 3.4, Fig. 3, Table 1).
  *
  * The protocol is expressed as a pure transition function so it can be
- * exhaustively unit-tested against the paper's state diagram and shared
- * by every SLLC model.  States follow Table 1a: I (no tag), S (tag+data,
- * memory up to date), M (tag+data, memory stale) and TO (tag only, no
- * data).  "In every state except I, private caches may or may not have
- * copies of the line" - presence and ownership are tracked orthogonally
- * by the directory entry and enter the transition function as the
- * `ownerValid` context flag.
+ * exhaustively unit-tested against the paper's state diagram.  The SLLC
+ * models call it only through SllcProtocol (coherence/sllc_protocol.hh),
+ * which applies the actions it returns to the line's directory, the
+ * private caches and memory.  States follow Table 1a: I (no tag), S
+ * (tag+data, memory up to date), M (tag+data, memory stale) and TO (tag
+ * only, no data).  "In every state except I, private caches may or may
+ * not have copies of the line" - presence and ownership are tracked
+ * orthogonally by the directory entry and enter the transition function
+ * as the `ownerValid` context flag.
  *
  * A conventional cache runs the same machine with `selectiveAlloc` off:
  * misses then allocate tag and data together and TO is unreachable.

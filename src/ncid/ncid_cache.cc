@@ -28,10 +28,11 @@ ncidDataGeometry(const NcidConfig &cfg)
 } // namespace
 
 NcidCache::NcidCache(const NcidConfig &cfg_, MemCtrl &mem_)
-    : cfg(cfg_),
-      tags(CacheGeometry::fromBytes(cfg_.tagEquivBytes, cfg_.tagWays),
-           ReplKind::LRU, cfg_.numCores, cfg_.seed),
-      data(ncidDataGeometry(cfg_), ReplKind::LRU, cfg_.seed + 1),
+    : DecoupledSllc(CacheGeometry::fromBytes(cfg_.tagEquivBytes,
+                                             cfg_.tagWays),
+                    ReplKind::LRU, cfg_.numCores, cfg_.seed,
+                    ncidDataGeometry(cfg_), ReplKind::LRU),
+      cfg(cfg_),
       duel(tags.geometry().numSets(), cfg_.numCores),
       mem(mem_),
       rng(cfg_.seed + 2),
@@ -55,8 +56,9 @@ NcidCache::NcidCache(const NcidConfig &cfg_, MemCtrl &mem_)
                                     "private copies invalidated (GETX/UPG)")),
       interventions(statSet.add("interventions",
                                 "requests served by a private owner")),
-      coreAccesses(cfg_.numCores, 0),
-      coreMisses(cfg_.numCores, 0)
+      proto(mem_, cfg_.numCores, cfg_.interventionLatency, true,
+            {interventions, invalidationsSent, inclusionRecalls,
+             dirtyWritebacks})
 {
     RC_ASSERT(data.geometry().numSets() == tags.geometry().numSets(),
               "NCID requires equal set counts in tag and data arrays");
@@ -72,20 +74,8 @@ NcidCache::allocData(std::uint64_t set, std::uint32_t way, Cycle now)
     if (needs_eviction) {
         const ReuseDataArray::Entry &victim = data.at(set, dway);
         ReuseTagArray::Entry &vtag = tags.at(victim.tagSet, victim.tagWay);
-        RC_ASSERT(llcHasData(vtag.state),
-                  "data entry owned by a tag without data");
         const Addr vline = tags.lineAddrOf(victim.tagSet, victim.tagWay);
-
-        ProtoInput in{vtag.state, ProtoEvent::DataRepl,
-                      vtag.dir.hasOwner(), true};
-        const ProtoResult res = protocolTransition(in);
-        RC_ASSERT(res.legal, "DataRepl illegal in state %s",
-                  toString(vtag.state));
-        if (res.actions & ActWriteMemData) {
-            mem.writeLine(vline, now);
-            ++dirtyWritebacks;
-        }
-        vtag.state = res.next;
+        vtag.state = proto.dataRepl(vtag.state, vtag.dir, vline, now);
         data.invalidate(set, dway);
         if (watcher)
             watcher->onDataEvict(vline, now);
@@ -102,27 +92,8 @@ void
 NcidCache::evictTag(std::uint64_t set, std::uint32_t way, Cycle now)
 {
     ReuseTagArray::Entry &e = tags.at(set, way);
-    RC_ASSERT(e.state != LlcState::I, "evicting an invalid tag");
     const Addr line = tags.lineAddrOf(set, way);
-
-    ProtoInput in{e.state, ProtoEvent::TagRepl, e.dir.hasOwner(), true};
-    const ProtoResult res = protocolTransition(in);
-    RC_ASSERT(res.legal, "TagRepl illegal in state %s", toString(e.state));
-
-    bool dirty_recalled = false;
-    if ((res.actions & ActRecallSharers) && !e.dir.empty()) {
-        RC_ASSERT(recaller, "no recall handler installed");
-        dirty_recalled = recaller->recall(line, e.dir.presenceMask());
-        ++inclusionRecalls;
-    }
-    if (res.actions & ActWriteMemData) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
-    if ((res.actions & ActWriteMemPut) && dirty_recalled) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
+    proto.tagRepl(e.state, e.dir, line, now);
 
     if (llcHasData(e.state)) {
         data.invalidate(set, e.fwdWay);
@@ -138,26 +109,19 @@ NcidCache::request(const LlcRequest &req)
 {
     const Addr line = lineAlign(req.lineAddr);
     ++accesses;
-    ++coreAccesses[req.core % coreAccesses.size()];
+    proto.countAccess(req.core);
 
     const std::uint64_t set = tags.geometry().setIndex(line);
     std::uint32_t way = 0;
     ReuseTagArray::Entry *entry = tags.find(line, way);
-
-    const bool owner_valid = entry && entry->dir.hasOwner();
-    RC_ASSERT(!owner_valid || entry->dir.owner() != req.core,
-              "owner cannot request its own line at the SLLC");
 
     LlcResponse resp;
     resp.tagHit = entry != nullptr;
     Cycle done = req.now + cfg.tagLatency;
 
     if (entry) {
-        ProtoInput in{entry->state, req.event, owner_valid, true};
-        const ProtoResult res = protocolTransition(in);
-        RC_ASSERT(res.legal, "%s illegal in state %s",
-                  toString(req.event), toString(entry->state));
-
+        const ProtoResult res =
+            proto.transition(req, entry->state, &entry->dir, true);
         const bool was_tag_only = entry->state == LlcState::TO;
 
         if (res.actions & ActDataHit) {
@@ -168,43 +132,20 @@ NcidCache::request(const LlcRequest &req)
             if (watcher)
                 watcher->onDataHit(line, req.now);
         }
-        if (res.actions & ActFetchOwner) {
-            RC_ASSERT(recaller, "intervention needs a recall handler");
-            done += cfg.interventionLatency;
-            ++interventions;
-            if (req.event == ProtoEvent::GETS)
-                recaller->downgrade(line, 1u << entry->dir.owner());
-        }
-        if (res.actions & ActInvSharers) {
-            const std::uint32_t mask = entry->dir.othersMask(req.core);
-            if (mask) {
-                RC_ASSERT(recaller, "no recall handler installed");
-                recaller->recall(line, mask);
-                invalidationsSent += __builtin_popcount(mask);
-                for (CoreId c = 0; c < cfg.numCores; ++c) {
-                    if (mask & (1u << c))
-                        entry->dir.removeSharer(c);
-                }
-            }
-        }
+        done += proto.privateActions(res.actions, req, line, entry->dir);
         if (res.actions & ActFetchMem) {
             done = mem.readLine(line, req.now + cfg.tagLatency);
             resp.memFetched = true;
-            ++coreMisses[req.core % coreMisses.size()];
+            proto.countMiss(req.core);
         }
         if (res.actions & ActAllocData) {
-            RC_ASSERT(was_tag_only, "data allocation on a tag+data state");
+            RC_CHECK(was_tag_only, SimError::Kind::Protocol,
+                     "data allocation on a tag+data state");
             ++tagOnlyHits;
             allocData(set, way, req.now);
         }
 
-        entry->state = res.next;
-        if (res.actions & ActClearOwner)
-            entry->dir.clearOwner();
-        if (res.actions & ActFillPrivate)
-            entry->dir.addSharer(req.core);
-        if (res.actions & ActSetOwner)
-            entry->dir.setOwner(req.core);
+        SllcProtocol::update(entry->state, entry->dir, res, req.core);
         tags.touchHit(set, way, req.core, req.pc, line);
         resp.doneAt = done;
 #if RC_TRACE_ENABLED
@@ -232,9 +173,8 @@ NcidCache::request(const LlcRequest &req)
         with_data = true;
     }
 
-    ProtoInput in{LlcState::I, req.event, false, !with_data};
-    const ProtoResult res = protocolTransition(in);
-    RC_ASSERT(res.legal, "%s illegal in state I", toString(req.event));
+    const ProtoResult res =
+        proto.transition(req, LlcState::I, nullptr, !with_data);
 
     bool needs_eviction = false;
     way = tags.allocateWay(set, req.core, needs_eviction, req.pc, line);
@@ -243,13 +183,9 @@ NcidCache::request(const LlcRequest &req)
 
     ReuseTagArray::Entry &e = tags.at(set, way);
     tags.setTag(set, way, line);
-    e.state = res.next;
     e.dir.clear();
+    SllcProtocol::update(e.state, e.dir, res, req.core);
     e.enteredData = false;
-    if (res.actions & ActFillPrivate)
-        e.dir.addSharer(req.core);
-    if (res.actions & ActSetOwner)
-        e.dir.setOwner(req.core);
     // Selective-mode tag-only fills go to the LRU position.
     tags.touchFill(set, way, req.core, selective && !with_data, req.pc,
                    line);
@@ -262,7 +198,7 @@ NcidCache::request(const LlcRequest &req)
     done = mem.readLine(line, req.now + cfg.tagLatency);
     resp.memFetched = true;
     ++tagMisses;
-    ++coreMisses[req.core % coreMisses.size()];
+    proto.countMiss(req.core);
     resp.doneAt = done;
     RC_TEVENT("ncid.tagMiss", TraceDomain::Sim, req.core, req.now,
               done - req.now, line);
@@ -274,39 +210,7 @@ NcidCache::evictNotify(Addr line_addr, CoreId core, bool dirty, Cycle now)
 {
     const Addr line = lineAlign(line_addr);
     std::uint32_t way = 0;
-    ReuseTagArray::Entry *entry = tags.find(line, way);
-    RC_ASSERT(entry, "eviction notification for a non-resident tag "
-              "(inclusion violated)");
-
-    ProtoInput in;
-    in.state = entry->state;
-    in.event = dirty ? ProtoEvent::PUTX : ProtoEvent::PUTS;
-    in.ownerValid = entry->dir.hasOwner();
-    in.selectiveAlloc = true;
-    const ProtoResult res = protocolTransition(in);
-    RC_ASSERT(res.legal, "%s illegal in state %s",
-              toString(in.event), toString(in.state));
-
-    if (res.actions & ActWriteMemPut) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
-    entry->state = res.next;
-    if (res.actions & ActClearOwner)
-        entry->dir.clearOwner();
-    entry->dir.removeSharer(core);
-}
-
-Counter
-NcidCache::missesBy(CoreId core) const
-{
-    return coreMisses[core % coreMisses.size()];
-}
-
-Counter
-NcidCache::accessesBy(CoreId core) const
-{
-    return coreAccesses[core % coreAccesses.size()];
+    proto.put(tags.find(line, way), line, core, dirty, now);
 }
 
 std::string
@@ -320,16 +224,6 @@ NcidCache::describe() const
     std::snprintf(buf, sizeof(buf), "NCID-%.3g/%.3g (%u data ways)",
                   tag_mb, data_mb, data.geometry().numWays());
     return buf;
-}
-
-LlcState
-NcidCache::stateOf(Addr line_addr) const
-{
-    std::uint32_t way = 0;
-    auto *self = const_cast<NcidCache *>(this);
-    const ReuseTagArray::Entry *e =
-        self->tags.find(lineAlign(line_addr), way);
-    return e ? e->state : LlcState::I;
 }
 
 void
@@ -346,8 +240,7 @@ NcidCache::save(Serializer &s) const
     s.endSection("duel");
     s.putU64(rng.rawState());
     statSet.save(s);
-    saveVec(s, coreAccesses);
-    saveVec(s, coreMisses);
+    proto.save(s);
 }
 
 void
@@ -364,8 +257,7 @@ NcidCache::restore(Deserializer &d)
     d.endSection("duel");
     rng.setRawState(d.getU64());
     statSet.restore(d);
-    restoreVec(d, coreAccesses, "NCID per-core accesses");
-    restoreVec(d, coreMisses, "NCID per-core misses");
+    proto.restore(d);
 }
 
 } // namespace rc

@@ -24,14 +24,12 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "cache/llc_iface.hh"
 #include "cache/set_dueling.hh"
+#include "coherence/sllc_protocol.hh"
 #include "common/rng.hh"
 #include "mem/memctrl.hh"
-#include "reuse/data_array.hh"
-#include "reuse/tag_array.hh"
+#include "reuse/decoupled_sllc.hh"
 
 namespace rc
 {
@@ -53,7 +51,7 @@ struct NcidConfig
 };
 
 /** The NCID baseline SLLC. */
-class NcidCache : public Sllc
+class NcidCache : public DecoupledSllc
 {
   public:
     /**
@@ -66,25 +64,18 @@ class NcidCache : public Sllc
     LlcResponse request(const LlcRequest &req) override;
     void evictNotify(Addr line_addr, CoreId core, bool dirty,
                      Cycle now) override;
-    void setRecallHandler(RecallHandler *handler) override { recaller = handler; }
+    void
+    setRecallHandler(RecallHandler *handler) override
+    {
+        proto.setRecallHandler(handler);
+    }
     void setObserver(LlcObserver *observer) override { watcher = observer; }
     const StatSet &stats() const override { return statSet; }
-    Counter missesBy(CoreId core) const override;
-    Counter accessesBy(CoreId core) const override;
+    Counter missesBy(CoreId c) const override { return proto.missesBy(c); }
+    Counter accessesBy(CoreId c) const override { return proto.accessesBy(c); }
     std::string describe() const override;
-    std::uint64_t dataLinesResident() const override
-    {
-        return data.residentCount();
-    }
-    std::uint64_t dataLinesTotal() const override
-    {
-        return data.geometry().numLines();
-    }
     void save(Serializer &s) const override;
     void restore(Deserializer &d) override;
-
-    /** State of a line (tests); I when absent. */
-    LlcState stateOf(Addr line_addr) const;
 
     /** Dueling monitor (tests). */
     const SetDueling &dueling() const { return duel; }
@@ -97,12 +88,9 @@ class NcidCache : public Sllc
     void allocData(std::uint64_t set, std::uint32_t way, Cycle now);
 
     NcidConfig cfg;
-    ReuseTagArray tags;
-    ReuseDataArray data;
     SetDueling duel;
     MemCtrl &mem;
     Rng rng;
-    RecallHandler *recaller = nullptr;
     LlcObserver *watcher = nullptr;
 
     StatSet statSet;
@@ -117,8 +105,7 @@ class NcidCache : public Sllc
     Counter &inclusionRecalls;
     Counter &invalidationsSent;
     Counter &interventions;
-    std::vector<Counter> coreAccesses;
-    std::vector<Counter> coreMisses;
+    SllcProtocol proto;
 };
 
 } // namespace rc

@@ -38,10 +38,11 @@ dataGeometry(const ReuseCacheConfig &cfg)
 } // namespace
 
 ReuseCache::ReuseCache(const ReuseCacheConfig &cfg_, MemCtrl &mem_)
-    : cfg(cfg_),
-      tags(CacheGeometry::fromBytes(cfg_.tagEquivBytes, cfg_.tagWays),
-           cfg_.tagRepl, cfg_.numCores, cfg_.seed),
-      data(dataGeometry(cfg_), cfg_.dataRepl, cfg_.seed + 1),
+    : DecoupledSllc(CacheGeometry::fromBytes(cfg_.tagEquivBytes,
+                                             cfg_.tagWays),
+                    cfg_.tagRepl, cfg_.numCores, cfg_.seed,
+                    dataGeometry(cfg_), cfg_.dataRepl),
+      cfg(cfg_),
       mem(mem_),
       predictor(cfg_.usePredictor
                     ? std::make_unique<ReusePredictor>(
@@ -77,11 +78,10 @@ ReuseCache::ReuseCache(const ReuseCacheConfig &cfg_, MemCtrl &mem_)
                                  "reuse predictor")),
       predictedFillsWasted(statSet.add("predictedFillsWasted",
                                        "predicted fills never reused")),
-      coreAccesses(cfg_.numCores, 0),
-      coreMisses(cfg_.numCores, 0)
+      proto(mem_, cfg_.numCores, cfg_.interventionLatency, true,
+            {interventions, invalidationsSent, inclusionRecalls,
+             dirtyWritebacks})
 {
-    RC_ASSERT(cfg.numCores > 0 && cfg.numCores <= 32,
-              "full-map directory supports 1..32 cores");
     RC_ASSERT(data.geometry().numSets() <= tags.geometry().numSets(),
               "data array may not have more sets than the tag array");
     RC_ASSERT(tags.geometry().numLines() >= data.geometry().numLines(),
@@ -101,21 +101,8 @@ ReuseCache::allocData(std::uint64_t tag_set, std::uint32_t tag_way,
         // DataRepl: follow the victim's reverse pointer to its tag.
         const ReuseDataArray::Entry &victim = data.at(dset, dway);
         ReuseTagArray::Entry &vtag = tags.at(victim.tagSet, victim.tagWay);
-        RC_CHECK(llcHasData(vtag.state), SimError::Kind::Integrity,
-                 "data entry owned by a tag without data (state %s)",
-                 toString(vtag.state));
         const Addr vline = tags.lineAddrOf(victim.tagSet, victim.tagWay);
-
-        ProtoInput in{vtag.state, ProtoEvent::DataRepl,
-                      vtag.dir.hasOwner(), true};
-        const ProtoResult res = protocolTransition(in);
-        RC_CHECK(res.legal, SimError::Kind::Protocol,
-                 "DataRepl illegal in state %s", toString(vtag.state));
-        if (res.actions & ActWriteMemData) {
-            mem.writeLine(vline, now);
-            ++dirtyWritebacks;
-        }
-        vtag.state = res.next; // TO: the tag remains, the data is gone
+        vtag.state = proto.dataRepl(vtag.state, vtag.dir, vline, now);
         data.invalidate(dset, dway);
         ++dataEvictions;
         if (watcher)
@@ -137,30 +124,8 @@ void
 ReuseCache::evictTag(std::uint64_t set, std::uint32_t way, Cycle now)
 {
     ReuseTagArray::Entry &e = tags.at(set, way);
-    RC_CHECK(e.state != LlcState::I, SimError::Kind::Integrity,
-             "evicting an invalid tag");
     const Addr line = tags.lineAddrOf(set, way);
-
-    ProtoInput in{e.state, ProtoEvent::TagRepl, e.dir.hasOwner(), true};
-    const ProtoResult res = protocolTransition(in);
-    RC_CHECK(res.legal, SimError::Kind::Protocol,
-             "TagRepl illegal in state %s", toString(e.state));
-
-    bool dirty_recalled = false;
-    if ((res.actions & ActRecallSharers) && !e.dir.empty()) {
-        RC_CHECK(recaller, SimError::Kind::Config,
-                 "no recall handler installed");
-        dirty_recalled = recaller->recall(line, e.dir.presenceMask());
-        ++inclusionRecalls;
-    }
-    if (res.actions & ActWriteMemData) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
-    if ((res.actions & ActWriteMemPut) && dirty_recalled) {
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
+    proto.tagRepl(e.state, e.dir, line, now);
 
     if (llcHasData(e.state)) {
         data.invalidate(data.setFor(set), e.fwdWay);
@@ -184,18 +149,13 @@ ReuseCache::request(const LlcRequest &req)
 {
     const Addr line = lineAlign(req.lineAddr);
     ++accesses;
-    ++coreAccesses[req.core % coreAccesses.size()];
+    proto.countAccess(req.core);
     if (req.event == ProtoEvent::UPG)
         ++upgradeReqs;
 
     const std::uint64_t set = tags.geometry().setIndex(line);
     std::uint32_t way = 0;
     ReuseTagArray::Entry *entry = tags.find(line, way);
-
-    const bool owner_valid = entry && entry->dir.hasOwner();
-    RC_CHECK(!owner_valid || entry->dir.owner() != req.core,
-             SimError::Kind::Protocol,
-             "owner cannot request its own line at the SLLC");
 
     // Optional predictor extension: a tag miss predicted to show reuse
     // allocates tag AND data immediately (the non-selective transition),
@@ -204,15 +164,10 @@ ReuseCache::request(const LlcRequest &req)
     const bool predicted_fill =
         !entry && predictor && predictor->predictReused(line);
 
-    ProtoInput in;
-    in.state = entry ? entry->state : LlcState::I;
-    in.event = req.event;
-    in.ownerValid = owner_valid;
-    in.selectiveAlloc = !predicted_fill;
-    in.prefetch = req.prefetch;
-    const ProtoResult res = protocolTransition(in);
-    RC_CHECK(res.legal, SimError::Kind::Protocol, "%s illegal in state %s",
-             toString(req.event), toString(in.state));
+    const ProtoResult res =
+        proto.transition(req, entry ? entry->state : LlcState::I,
+                         entry ? &entry->dir : nullptr, !predicted_fill,
+                         req.prefetch);
 
     LlcResponse resp;
     resp.tagHit = entry != nullptr;
@@ -231,30 +186,7 @@ ReuseCache::request(const LlcRequest &req)
                 watcher->onDataHit(line, req.now);
         }
 
-        if (res.actions & ActFetchOwner) {
-            RC_CHECK(recaller, SimError::Kind::Config,
-                     "intervention needs a recall handler");
-            done += cfg.interventionLatency;
-            ++interventions;
-            if (req.event == ProtoEvent::GETS)
-                recaller->downgrade(line, 1u << entry->dir.owner());
-            // For GETX the InvSharers recall below retrieves the data
-            // while invalidating the old owner.
-        }
-
-        if (res.actions & ActInvSharers) {
-            const std::uint32_t mask = entry->dir.othersMask(req.core);
-            if (mask) {
-                RC_CHECK(recaller, SimError::Kind::Config,
-                         "no recall handler installed");
-                recaller->recall(line, mask);
-                invalidationsSent += __builtin_popcount(mask);
-                for (CoreId c = 0; c < cfg.numCores; ++c) {
-                    if (mask & (1u << c))
-                        entry->dir.removeSharer(c);
-                }
-            }
-        }
+        done += proto.privateActions(res.actions, req, line, entry->dir);
 
         if (res.actions & ActFetchMem) {
             // The paper's double fetch: a reuse on a TO tag re-reads the
@@ -264,7 +196,7 @@ ReuseCache::request(const LlcRequest &req)
             resp.memFetched = true;
             if (!req.prefetch)
                 ++reloadsFromMem;
-            ++coreMisses[req.core % coreMisses.size()];
+            proto.countMiss(req.core);
         }
 
         if (res.actions & ActAllocData) {
@@ -274,13 +206,7 @@ ReuseCache::request(const LlcRequest &req)
             allocData(set, way, req.now);
         }
 
-        entry->state = res.next;
-        if (res.actions & ActClearOwner)
-            entry->dir.clearOwner();
-        if (res.actions & ActFillPrivate)
-            entry->dir.addSharer(req.core);
-        if (res.actions & ActSetOwner)
-            entry->dir.setOwner(req.core);
+        SllcProtocol::update(entry->state, entry->dir, res, req.core);
         if (!req.prefetch) {
             // Prefetch hits are not reuses and earn no promotion
             // (Section 6: prefetched lines keep the lowest priority).
@@ -297,15 +223,12 @@ ReuseCache::request(const LlcRequest &req)
 
         ReuseTagArray::Entry &e = tags.at(set, way);
         tags.setTag(set, way, line);
-        e.state = res.next; // TO (S with a predicted fill)
         e.dir.clear();
+        // TO (S with a predicted fill).
+        SllcProtocol::update(e.state, e.dir, res, req.core);
         e.enteredData = false;
         e.reused = false;
         e.predicted = predicted_fill;
-        if (res.actions & ActFillPrivate)
-            e.dir.addSharer(req.core);
-        if (res.actions & ActSetOwner)
-            e.dir.setOwner(req.core);
         // NRR bit set: not reused yet.
         tags.touchFill(set, way, req.core, false, req.pc, line);
         ++tagAllocs;
@@ -321,7 +244,7 @@ ReuseCache::request(const LlcRequest &req)
         done = mem.readLine(line, req.now + cfg.tagLatency);
         resp.memFetched = true;
         ++tagMisses;
-        ++coreMisses[req.core % coreMisses.size()];
+        proto.countMiss(req.core);
     }
 
     resp.doneAt = done;
@@ -343,41 +266,7 @@ ReuseCache::evictNotify(Addr line_addr, CoreId core, bool dirty, Cycle now)
 {
     const Addr line = lineAlign(line_addr);
     std::uint32_t way = 0;
-    ReuseTagArray::Entry *entry = tags.find(line, way);
-    RC_CHECK(entry, SimError::Kind::Integrity,
-             "eviction notification for a non-resident tag "
-             "(inclusion violated)");
-
-    ProtoInput in;
-    in.state = entry->state;
-    in.event = dirty ? ProtoEvent::PUTX : ProtoEvent::PUTS;
-    in.ownerValid = entry->dir.hasOwner();
-    in.selectiveAlloc = true;
-    const ProtoResult res = protocolTransition(in);
-    RC_CHECK(res.legal, SimError::Kind::Protocol, "%s illegal in state %s",
-             toString(in.event), toString(in.state));
-
-    if (res.actions & ActWriteMemPut) {
-        // TO tags have no data array entry to absorb the writeback.
-        mem.writeLine(line, now);
-        ++dirtyWritebacks;
-    }
-    entry->state = res.next;
-    if (res.actions & ActClearOwner)
-        entry->dir.clearOwner();
-    entry->dir.removeSharer(core);
-}
-
-Counter
-ReuseCache::missesBy(CoreId core) const
-{
-    return coreMisses[core % coreMisses.size()];
-}
-
-Counter
-ReuseCache::accessesBy(CoreId core) const
-{
-    return coreAccesses[core % coreAccesses.size()];
+    proto.put(tags.find(line, way), line, core, dirty, now);
 }
 
 std::string
@@ -394,72 +283,6 @@ ReuseCache::describe() const
                                     : (std::to_string(cfg.dataWays) +
                                        "-way").c_str());
     return buf;
-}
-
-LlcState
-ReuseCache::stateOf(Addr line_addr) const
-{
-    std::uint32_t way = 0;
-    auto *self = const_cast<ReuseCache *>(this);
-    const ReuseTagArray::Entry *e =
-        self->tags.find(lineAlign(line_addr), way);
-    return e ? e->state : LlcState::I;
-}
-
-const DirectoryEntry *
-ReuseCache::dirOf(Addr line_addr) const
-{
-    std::uint32_t way = 0;
-    auto *self = const_cast<ReuseCache *>(this);
-    const ReuseTagArray::Entry *e =
-        self->tags.find(lineAlign(line_addr), way);
-    return e ? &e->dir : nullptr;
-}
-
-void
-ReuseCache::checkInvariants() const
-{
-    std::uint64_t tags_with_data = 0;
-    const auto &tg = tags.geometry();
-    for (std::uint64_t s = 0; s < tg.numSets(); ++s) {
-        for (std::uint32_t w = 0; w < tg.numWays(); ++w) {
-            const ReuseTagArray::Entry &e = tags.at(s, w);
-            if (!llcHasData(e.state))
-                continue;
-            ++tags_with_data;
-            const std::uint64_t ds = data.setFor(s);
-            RC_CHECK(e.fwdWay < data.geometry().numWays(),
-                     SimError::Kind::Integrity,
-                     "forward pointer out of range");
-            const ReuseDataArray::Entry &d = data.at(ds, e.fwdWay);
-            RC_CHECK(data.validAt(ds, e.fwdWay), SimError::Kind::Integrity,
-                     "forward pointer to an empty data entry");
-            RC_CHECK(d.tagSet == s && d.tagWay == w,
-                     SimError::Kind::Integrity,
-                     "reverse pointer does not match forward pointer");
-        }
-    }
-    std::uint64_t valid_data = 0;
-    const auto &dg = data.geometry();
-    for (std::uint64_t s = 0; s < dg.numSets(); ++s) {
-        for (std::uint32_t w = 0; w < dg.numWays(); ++w) {
-            const ReuseDataArray::Entry &d = data.at(s, w);
-            if (!data.validAt(s, w))
-                continue;
-            ++valid_data;
-            const ReuseTagArray::Entry &e = tags.at(d.tagSet, d.tagWay);
-            RC_CHECK(llcHasData(e.state), SimError::Kind::Integrity,
-                     "data entry owned by tag in state %s",
-                     toString(e.state));
-            RC_CHECK(e.fwdWay == w && data.setFor(d.tagSet) == s,
-                     SimError::Kind::Integrity,
-                     "forward pointer does not match reverse pointer");
-        }
-    }
-    RC_CHECK(tags_with_data == valid_data, SimError::Kind::Integrity,
-             "tag/data population mismatch: %llu tags vs %llu data",
-             static_cast<unsigned long long>(tags_with_data),
-             static_cast<unsigned long long>(valid_data));
 }
 
 double
@@ -487,8 +310,7 @@ ReuseCache::save(Serializer &s) const
         s.endSection("predictor");
     }
     statSet.save(s);
-    saveVec(s, coreAccesses);
-    saveVec(s, coreMisses);
+    proto.save(s);
 }
 
 void
@@ -512,8 +334,7 @@ ReuseCache::restore(Deserializer &d)
         d.endSection("predictor");
     }
     statSet.restore(d);
-    restoreVec(d, coreAccesses, "reuse cache per-core accesses");
-    restoreVec(d, coreMisses, "reuse cache per-core misses");
+    proto.restore(d);
 }
 
 } // namespace rc

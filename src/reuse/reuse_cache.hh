@@ -23,13 +23,11 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "cache/llc_iface.hh"
+#include "coherence/sllc_protocol.hh"
 #include "mem/memctrl.hh"
-#include "reuse/data_array.hh"
+#include "reuse/decoupled_sllc.hh"
 #include "reuse/reuse_predictor.hh"
-#include "reuse/tag_array.hh"
 
 namespace rc
 {
@@ -84,7 +82,7 @@ struct ReuseCacheConfig
 };
 
 /** The paper's decoupled tag/data SLLC. */
-class ReuseCache : public Sllc
+class ReuseCache : public DecoupledSllc
 {
   public:
     /**
@@ -96,48 +94,18 @@ class ReuseCache : public Sllc
     LlcResponse request(const LlcRequest &req) override;
     void evictNotify(Addr line_addr, CoreId core, bool dirty,
                      Cycle now) override;
-    void setRecallHandler(RecallHandler *handler) override { recaller = handler; }
+    void
+    setRecallHandler(RecallHandler *handler) override
+    {
+        proto.setRecallHandler(handler);
+    }
     void setObserver(LlcObserver *observer) override { watcher = observer; }
     const StatSet &stats() const override { return statSet; }
-    Counter missesBy(CoreId core) const override;
-    Counter accessesBy(CoreId core) const override;
+    Counter missesBy(CoreId c) const override { return proto.missesBy(c); }
+    Counter accessesBy(CoreId c) const override { return proto.accessesBy(c); }
     std::string describe() const override;
-    std::uint64_t dataLinesResident() const override
-    {
-        return data.residentCount();
-    }
-    std::uint64_t dataLinesTotal() const override
-    {
-        return data.geometry().numLines();
-    }
     void save(Serializer &s) const override;
     void restore(Deserializer &d) override;
-
-    /** State of a line (tests); I when absent. */
-    LlcState stateOf(Addr line_addr) const;
-
-    /** Directory entry of a line (tests); nullptr when absent. */
-    const DirectoryEntry *dirOf(Addr line_addr) const;
-
-    /** Tag array (tests / analyses). */
-    const ReuseTagArray &tagArray() const { return tags; }
-
-    /** Data array (tests / analyses). */
-    const ReuseDataArray &dataArray() const { return data; }
-
-    /** Fault-injection hook: mutable tag array (verify/tests only). */
-    ReuseTagArray &tagArrayMut() { return tags; }
-
-    /** Fault-injection hook: mutable data array (verify/tests only). */
-    ReuseDataArray &dataArrayMut() { return data; }
-
-    /**
-     * Verify the pointer invariants: every tag in a tag+data state names
-     * a valid data entry whose reverse pointer names it back, and vice
-     * versa.  Throws SimError(Integrity) on violation; used by property
-     * tests and the end-of-run integrity walk.
-     */
-    void checkInvariants() const;
 
     /**
      * Fraction of tag generations that never allocated a data entry
@@ -151,11 +119,8 @@ class ReuseCache : public Sllc
     void allocData(std::uint64_t tag_set, std::uint32_t tag_way, Cycle now);
 
     ReuseCacheConfig cfg;
-    ReuseTagArray tags;
-    ReuseDataArray data;
     MemCtrl &mem;
     std::unique_ptr<ReusePredictor> predictor; //!< optional extension
-    RecallHandler *recaller = nullptr;
     LlcObserver *watcher = nullptr;
 
     StatSet statSet;
@@ -176,8 +141,7 @@ class ReuseCache : public Sllc
     Counter &generationsWithData;
     Counter &predictedFills;
     Counter &predictedFillsWasted;
-    std::vector<Counter> coreAccesses;
-    std::vector<Counter> coreMisses;
+    SllcProtocol proto;
 };
 
 } // namespace rc

@@ -11,7 +11,7 @@
 #include "cache/conventional_llc.hh"
 #include "cache/mshr.hh"
 #include "common/log.hh"
-#include "reuse/reuse_cache.hh"
+#include "reuse/decoupled_sllc.hh"
 #include "sim/cmp.hh"
 #include "sim/feed_cache.hh"
 
@@ -116,8 +116,8 @@ detectedBy(FaultClass cls, LlcKind kind)
 {
     switch (cls) {
       case FaultClass::TagStateFlip:
-        return kind == LlcKind::Reuse ? Invariant::TagDataPointers
-                                      : Invariant::StateEncoding;
+        return kind == LlcKind::Conventional ? Invariant::StateEncoding
+                                             : Invariant::TagDataPointers;
       case FaultClass::DirectoryDropBit:
       case FaultClass::DirectoryGhostBit:
         return Invariant::DirectoryInclusion;
@@ -153,9 +153,11 @@ FaultInjector::inject(Cmp &cmp, FaultClass cls)
     InjectionResult res;
     res.fault = cls;
 
-    auto *reuse = dynamic_cast<ReuseCache *>(&cmp.llc());
+    // The reuse cache and NCID keep tags and data in the same arrays, so
+    // every fault that targets them applies to both.
+    auto *dec = dynamic_cast<DecoupledSllc *>(&cmp.llc());
     auto *conv = dynamic_cast<ConventionalLlc *>(&cmp.llc());
-    const LlcKind kind = reuse ? LlcKind::Reuse : LlcKind::Conventional;
+    const LlcKind kind = dec ? LlcKind::Reuse : LlcKind::Conventional;
     const std::uint32_t cores = cmp.numCores();
 
     auto pickTag = [&](const std::vector<TagCoord> &cands) {
@@ -173,8 +175,8 @@ FaultInjector::inject(Cmp &cmp, FaultClass cls)
 
     switch (cls) {
       case FaultClass::TagStateFlip: {
-        if (reuse) {
-            ReuseTagArray &tags = reuse->tagArrayMut();
+        if (dec) {
+            ReuseTagArray &tags = dec->tagArrayMut();
             // Preferred target: a tag+data state demoted to TO leaves
             // its data entry orphaned (TagDataPointers, both walks).
             auto cands = reuseCandidates(tags, [](const auto &e) {
@@ -232,8 +234,8 @@ FaultInjector::inject(Cmp &cmp, FaultClass cls)
             done(what + ": dropped presence bit of core " +
                  std::to_string(victim));
         };
-        if (reuse) {
-            ReuseTagArray &tags = reuse->tagArrayMut();
+        if (dec) {
+            ReuseTagArray &tags = dec->tagArrayMut();
             auto cands = reuseCandidates(tags, [](const auto &e) {
                 return !e.dir.empty();
             });
@@ -269,8 +271,8 @@ FaultInjector::inject(Cmp &cmp, FaultClass cls)
             done(what + ": added ghost presence bit for core " +
                  std::to_string(ghost_core));
         };
-        if (reuse) {
-            ReuseTagArray &tags = reuse->tagArrayMut();
+        if (dec) {
+            ReuseTagArray &tags = dec->tagArrayMut();
             auto cands = reuseCandidates(tags, [&](const auto &e) {
                 return e.dir.sharerCount() < cores;
             });
@@ -297,8 +299,8 @@ FaultInjector::inject(Cmp &cmp, FaultClass cls)
       case FaultClass::OwnerCorrupt: {
         // An owner id == numCores is out of range; encodingSane rejects
         // it before ever using it as a shift amount.
-        if (reuse) {
-            ReuseTagArray &tags = reuse->tagArrayMut();
+        if (dec) {
+            ReuseTagArray &tags = dec->tagArrayMut();
             auto cands =
                 reuseCandidates(tags, [](const auto &) { return true; });
             if (cands.empty())
@@ -324,9 +326,9 @@ FaultInjector::inject(Cmp &cmp, FaultClass cls)
       }
 
       case FaultClass::OrphanDataBlock: {
-        if (!reuse)
+        if (!dec)
             break; // coupled tag/data caches cannot orphan data
-        ReuseTagArray &tags = reuse->tagArrayMut();
+        ReuseTagArray &tags = dec->tagArrayMut();
         // Prefer a tag with no private copies: invalidating it then
         // violates only the tag/data pointer invariant.
         auto cands = reuseCandidates(tags, [](const auto &e) {
@@ -380,10 +382,10 @@ FaultInjector::inject(Cmp &cmp, FaultClass cls)
                  ") forced out of range");
             return true;
         };
-        if (reuse) {
-            if (corrupt(reuse->dataArrayMut().policyMut(),
+        if (dec) {
+            if (corrupt(dec->dataArrayMut().policyMut(),
                         "reuse data array") ||
-                corrupt(reuse->tagArrayMut().policyMut(),
+                corrupt(dec->tagArrayMut().policyMut(),
                         "reuse tag array"))
                 return res;
             break;

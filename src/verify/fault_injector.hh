@@ -36,7 +36,7 @@ enum class FaultClass : std::uint8_t
     DirectoryGhostBit, //!< add a presence bit for a core with no copy
     OwnerCorrupt,     //!< record an out-of-range owner id
     OrphanDataBlock,  //!< invalidate a data-holding tag, leaving its
-                      //!< data entry behind (reuse cache only)
+                      //!< data entry behind (reuse cache and NCID)
     LeakedMshr,       //!< allocate an MSHR entry that can never retire
     ReplMetadata,     //!< force replacement metadata out of range
     TruncatedFrame,   //!< cut a service-protocol frame short mid-stream

@@ -5,7 +5,7 @@
 #include "cache/conventional_llc.hh"
 #include "cache/mshr.hh"
 #include "common/log.hh"
-#include "reuse/reuse_cache.hh"
+#include "reuse/decoupled_sllc.hh"
 #include "sim/cmp.hh"
 
 namespace rc
@@ -90,9 +90,9 @@ IntegrityChecker::checkLlc(IntegrityReport &r) const
 {
     const std::uint32_t cores = sys.numCores();
 
-    if (const auto *rc = dynamic_cast<const ReuseCache *>(&sys.llc())) {
-        const ReuseTagArray &tags = rc->tagArray();
-        const ReuseDataArray &data = rc->dataArray();
+    if (const auto *dec = dynamic_cast<const DecoupledSllc *>(&sys.llc())) {
+        const ReuseTagArray &tags = dec->tagArray();
+        const ReuseDataArray &data = dec->dataArray();
         const auto &tg = tags.geometry();
         const auto &dg = data.geometry();
 
@@ -197,7 +197,6 @@ IntegrityChecker::checkLlc(IntegrityReport &r) const
         if (!conv->policy().metadataSane(&why))
             add(r, Invariant::ReplMetadata, why);
     }
-    // Other organizations (NCID) opt out of LLC-specific walks.
 }
 
 void
@@ -223,11 +222,10 @@ IntegrityChecker::checkDirectoryInclusion(IntegrityReport &r) const
         }
     };
 
-    const ReuseCache *rc = dynamic_cast<const ReuseCache *>(&sys.llc());
-    const ConventionalLlc *conv =
-        dynamic_cast<const ConventionalLlc *>(&sys.llc());
-    if (rc) {
-        const ReuseTagArray &tags = rc->tagArray();
+    const auto *dec = dynamic_cast<const DecoupledSllc *>(&sys.llc());
+    const auto *conv = dynamic_cast<const ConventionalLlc *>(&sys.llc());
+    if (dec) {
+        const ReuseTagArray &tags = dec->tagArray();
         const auto &tg = tags.geometry();
         for (std::uint64_t s = 0; s < tg.numSets(); ++s) {
             for (std::uint32_t w = 0; w < tg.numWays(); ++w) {
@@ -251,7 +249,7 @@ IntegrityChecker::checkDirectoryInclusion(IntegrityReport &r) const
         sys.core(c).priv().forEachL2Resident(
             [&](Addr line, const TagStore::Way &) {
                 const DirectoryEntry *dir =
-                    rc ? rc->dirOf(line) : conv->dirOf(line);
+                    dec ? dec->dirOf(line) : conv->dirOf(line);
                 if (!dir)
                     add(r, Invariant::DirectoryInclusion,
                         "core " + std::to_string(c) + " L2 holds line " +

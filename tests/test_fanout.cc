@@ -33,6 +33,7 @@
 #include "sim/system_config.hh"
 #include "snapshot/serializer.hh"
 #include "workloads/mixes.hh"
+#include "workloads/parallel.hh"
 
 namespace
 {
@@ -157,6 +158,52 @@ TEST(Fanout, MatchesIndependentRuns)
                   fingerprint(fan.member(i)))
             << "fan-out member " << i
             << " diverged from its independent run";
+    }
+}
+
+/**
+ * Parallel apps share data across cores, so every SLLC organization
+ * intervenes on owned lines and invalidates sharers; multiprogrammed
+ * mixes never do.  Each member, driven through those downgrades and
+ * recalls off the shared front end, must still end in the state of its
+ * independent run.
+ */
+TEST(Fanout, SharedMemoryAppsMatchIndependentRuns)
+{
+    std::vector<SystemConfig> cfgs = {
+        conventionalSystem(8.0, ReplKind::LRU, kScale),
+        reuseSystem(4.0, 1.0, 16, kScale), ncidSystem(8.0, 1.0, kScale)};
+    for (SystemConfig &c : cfgs)
+        c.seed = kSeed;
+
+    for (const char *app : {"canneal", "ocean"}) {
+        SCOPED_TRACE(app);
+        const AppProfile *profile = findParallelProfile(app);
+        ASSERT_NE(profile, nullptr);
+        auto streams = [&] {
+            return buildParallelStreams(*profile, 8, kSeed, kScale);
+        };
+
+        FanoutCmp fan(cfgs, streams);
+        fan.run(kWarmup);
+        fan.beginMeasurement();
+        fan.run(kMeasure);
+
+        for (std::size_t i = 0; i < cfgs.size(); ++i) {
+            Cmp sim(cfgs[i], streams());
+            sim.run(kWarmup);
+            sim.beginMeasurement();
+            sim.run(kMeasure);
+            const StatSet &llc = fan.member(i).llc().stats();
+            EXPECT_GT(llc.lookup("interventions") +
+                          llc.lookup("invalidationsSent"),
+                      0u)
+                << "member " << i << " saw no coherence traffic";
+            EXPECT_GT(fan.member(i).feedFallbacks(), 0u) << "member " << i;
+            EXPECT_EQ(fingerprint(sim), fingerprint(fan.member(i)))
+                << "fan-out member " << i
+                << " diverged from its independent run";
+        }
     }
 }
 

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 
 #include "cache/conventional_llc.hh"
+#include "common/log.hh"
 #include "ncid/ncid_cache.hh"
 #include "reuse/reuse_cache.hh"
 
@@ -250,6 +252,38 @@ TEST_P(SllcContract, DirtyEvictionsEventuallyReachMemory)
         owner.erase(a);
     }
     EXPECT_GT(mem.totalWrites(), 0u);
+}
+
+/** Name of the SimError kind @p fn throws; "none" when it throws none. */
+template <typename Fn>
+std::string
+simErrorKind(Fn fn)
+{
+    try {
+        fn();
+    } catch (const SimError &err) {
+        return toString(err.kind());
+    }
+    return "none";
+}
+
+TEST_P(SllcContract, OwnerRequestingItsOwnLineIsAProtocolError)
+{
+    // Core 0 owns the line after its GETX, so it would hit privately; a
+    // second GETX from it breaks the protocol and must fail the run, not
+    // the process.
+    req(line(1), 0, ProtoEvent::GETX);
+    EXPECT_EQ(simErrorKind([&] { req(line(1), 0, ProtoEvent::GETX); }),
+              toString(SimError::Kind::Protocol));
+}
+
+TEST_P(SllcContract, EvictionOfAnAbsentLineIsAnIntegrityError)
+{
+    // Inclusion: a private cache cannot evict a line the SLLC holds no
+    // tag for.
+    req(line(1), 0, ProtoEvent::GETS);
+    EXPECT_EQ(simErrorKind([&] { llc->evictNotify(line(2), 0, false, 0); }),
+              toString(SimError::Kind::Integrity));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scoped_dir.hh"
 #include "sim/cmp.hh"
 #include "sim/system_config.hh"
 #include "sim/trace_file.hh"
@@ -490,8 +491,9 @@ TEST(TelemetryStats, StatsJsonIsValid)
 
 TEST(TelemetrySession, WritesAllArtifacts)
 {
+    const ScopedDir scratch("telemetry-session");
     TelemetryConfig cfg;
-    cfg.dir = tempPath("telemetry-session");
+    cfg.dir = scratch.path();
     cfg.traceEvents = true;
     cfg.sampleInterval = 5'000;
     ASSERT_TRUE(cfg.enabled());

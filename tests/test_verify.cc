@@ -28,8 +28,23 @@ namespace
 SystemConfig
 tinySystem(LlcKind kind)
 {
-    return kind == LlcKind::Reuse ? reuseSystem(4, 1, 0, 8)
-                                  : baselineSystem(8);
+    switch (kind) {
+      case LlcKind::Reuse: return reuseSystem(4, 1, 0, 8);
+      case LlcKind::Ncid: return ncidSystem(8, 1, 8);
+      case LlcKind::Conventional: break;
+    }
+    return baselineSystem(8);
+}
+
+const char *
+kindName(LlcKind kind)
+{
+    switch (kind) {
+      case LlcKind::Reuse: return "reuse";
+      case LlcKind::Ncid: return "ncid";
+      case LlcKind::Conventional: break;
+    }
+    return "conventional";
 }
 
 bool
@@ -226,15 +241,13 @@ TEST(MshrLeakCounters, DistinguishInFlightFromLeaked)
 TEST(IntegrityChecker, CleanAcrossSeedsAndOrganizations)
 {
     // Zero false positives: undisturbed runs over several seeds must
-    // stay clean under a periodic check hook and at quiesce, for both
-    // LLC organizations.
+    // stay clean under a periodic check hook and at quiesce, for every
+    // LLC organization.
     for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
         for (const LlcKind kind :
-             {LlcKind::Reuse, LlcKind::Conventional}) {
-            SCOPED_TRACE(std::string(kind == LlcKind::Reuse
-                                         ? "reuse"
-                                         : "conventional") +
-                         " seed " + std::to_string(seed));
+             {LlcKind::Reuse, LlcKind::Conventional, LlcKind::Ncid}) {
+            SCOPED_TRACE(std::string(kindName(kind)) + " seed " +
+                         std::to_string(seed));
             SystemConfig cfg = tinySystem(kind);
             cfg.seed = seed;
             Cmp cmp(cfg, buildMixStreams(exampleMix(), seed, 8));
@@ -253,7 +266,7 @@ TEST(IntegrityChecker, CleanAcrossSeedsAndOrganizations)
             EXPECT_GT(r.tagsWalked, 0u);
             EXPECT_GT(r.privateWalked, 0u);
             EXPECT_GT(r.mshrWalked, 0u);
-            if (kind == LlcKind::Reuse) {
+            if (kind != LlcKind::Conventional) {
                 EXPECT_GT(r.dataWalked, 0u);
             }
             EXPECT_EQ(checker.walks(), fired + 1);
@@ -318,12 +331,11 @@ TEST(FaultClassNames, RoundTripThroughTheCliSpelling)
 
 TEST(FaultMatrix, EveryFaultClassIsCaughtByItsAdvertisedInvariant)
 {
-    for (const LlcKind kind : {LlcKind::Reuse, LlcKind::Conventional}) {
+    for (const LlcKind kind :
+         {LlcKind::Reuse, LlcKind::Conventional, LlcKind::Ncid}) {
         for (std::size_t i = 0; i < numFaultClasses; ++i) {
             const auto cls = static_cast<FaultClass>(i);
-            SCOPED_TRACE(std::string(kind == LlcKind::Reuse
-                                         ? "reuse/"
-                                         : "conventional/") +
+            SCOPED_TRACE(std::string(kindName(kind)) + "/" +
                          toString(cls));
             SystemConfig cfg = tinySystem(kind);
             Cmp cmp(cfg, buildMixStreams(exampleMix(), 42, 8));
